@@ -8,7 +8,7 @@ PYTHONPATH := src
 
 .PHONY: check lint lint-full lint-mutants test copy-budget \
 	schedule-smoke bench-smoke bench-wallclock bench-topology \
-	bench-collectives sarif
+	bench-collectives perfbench sarif
 
 check: lint lint-mutants test copy-budget schedule-smoke bench-smoke \
 	bench-wallclock bench-topology bench-collectives
@@ -89,6 +89,15 @@ bench-collectives:
 		--out BENCH_collectives_smoke.json
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.trace bench \
 		BENCH_collectives_smoke.json
+
+# The repo benchmark (BENCHMARK.json): perfbench's own tests, then a
+# 5-second pass of every workload, each checked against the virtual-
+# clock digests pinned in perfbench/digests.json.  Kept out of `check`:
+# it is a wall-clock measurement, not a gate.
+perfbench:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q perfbench
+	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 5 \
+		--trace 0
 
 # SARIF findings for CI/PR annotation (exit status intentionally ignored:
 # the gating run is `lint`, this one only produces the report artifact)

@@ -24,7 +24,7 @@ is ``make bench-topology``.
 
 ``--collectives`` runs just the ``wallclock.collectives`` series (flat
 vs topology-aware MPI collectives on grids up to 8 sites, asserting the
-aware replay is bit-identical to the flat oracle) — the CI smoke slice
+aware replay gives the same results as the flat one) — the CI smoke slice
 is ``make bench-collectives``.  ``--gate-wan-crossings`` additionally
 fails the run unless the aware bcast crossed the WAN exactly sites − 1
 times per call at every measured grid size.

@@ -11,9 +11,8 @@ on the **process wall clock**:
 * ``wallclock.kernel.switch`` — context-switch throughput (events/s)
   per switch backend: coroutine processes ping-ponging through
   zero-delay sleeps, the workload where the backend choice dominates.
-  One categorical point per backend constructible here (``thread``
-  always; ``greenlet`` when the package is installed; ``trampoline``
-  always).  Each point is a median of three runs — the thread backend's
+  One categorical point per backend (``thread`` and
+  ``trampoline``).  Each point is a median of three runs — the thread backend's
   OS semaphore handshake is noisy — and the meta records the speedup of
   every backend over ``thread``, which is what the CI gate
   (``--gate-backend-speedup``) checks;
@@ -144,8 +143,8 @@ def kernel_switch_rate(backend: str, n_switches: int,
     through zero-delay sleeps on ``backend``.
 
     The coroutine (generator) process style runs on every backend — the
-    thread and greenlet backends drive generators through the same echo
-    loop the trampoline uses — so the workload is backend-portable by
+    thread backend drives generators through an echo loop that mirrors
+    the trampoline — so the workload is backend-portable by
     construction.  Median of ``repeats`` fresh kernels: the thread
     backend's per-switch OS semaphore handshake makes single runs noisy.
     """
@@ -514,7 +513,7 @@ def _run_collectives(sites: int, aware: bool) -> dict:
     start, barrier-separated), per-op WAN-crossing/byte deltas from the
     communicator's :class:`repro.mpi.CollStats`, and a per-rank value
     digest the caller uses to assert the aware replay is bit-identical
-    to the flat oracle.
+    to the flat one.
     """
     from repro.mpi import CollTuning, SUM, create_world, spmd
     from repro.padicotm import PadicoRuntime
@@ -604,7 +603,7 @@ def bench_collectives(quick: bool) -> BenchResult:
         flat = _run_collectives(n, aware=False)
         hier = _run_collectives(n, aware=True)
         assert hier["digests"] == flat["digests"], \
-            f"aware collectives diverged from the flat oracle at {n} sites"
+            f"aware collectives diverged from the flat replay at {n} sites"
         for op in COLL_OPS:
             points.append((f"{op}-flat-S{n}", flat["durations"][op]))
             points.append((f"{op}-aware-S{n}", hier["durations"][op]))

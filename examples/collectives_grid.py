@@ -8,8 +8,9 @@ subtrees glued by a leaders-only WAN tree — so a broadcast crosses the
 expensive wide-area links exactly ``sites - 1`` times instead of once
 per cross-site tree edge.
 
-The same workload runs twice, flat (``CollTuning(aware=False)``, the
-rank-order binomial oracle) and topology-aware (the default), asserts
+The same workload runs twice, flat (``CollTuning(aware=False)``: the
+same schedule over a one-site view, i.e. rank-order binomial trees) and
+topology-aware (the default), asserts
 the results are identical, and prints the virtual-clock time and
 WAN-crossing count of each mode.
 

@@ -90,7 +90,7 @@ DEFAULT_FILE_ALLOW: dict[tuple[str, str], str] = {
     # lived in kernel.py until the switch-backend refactor extracted it
     # into ThreadBackend (backends.py); same audit, same justification
     # — kernel.py itself is threading-free now, and the
-    # greenlet/trampoline backends in backends.py use no threading
+    # trampoline backend in backends.py uses no threading
     # primitives at all, so this remains the single ker-thread
     # exemption.
     ("src/repro/sim/backends.py", "ker-thread"):

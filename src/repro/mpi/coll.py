@@ -7,19 +7,21 @@ binomial subtrees under a per-site *leader*, with only leaders talking
 over the WAN — crosses it exactly ``sites - 1`` times.  This module
 holds the site hierarchy the communicator routes through:
 
-- :class:`CollTuning` — the per-communicator knobs (``aware`` on/off,
-  alltoall aggregation threshold), resolvable from the
-  ``REPRO_MPI_COLL`` environment variable so any run can be replayed in
-  flat mode as the differential-testing oracle;
+- :class:`CollTuning` — the per-communicator ``aware`` switch;
 - :class:`SiteMap` — each group rank resolved to its host's topology
   ``site`` tag, with per-site member lists and the deterministic leader
   rule (lowest rank per site, except the root's site where the root
   itself leads, so data never takes an extra intra-site hop);
 - :class:`CollShared` — the state all ranks of one communicator share:
-  the site map, lazily-established per-site subcircuits (the PadicoTM
-  selector picks the site SAN for those, so intra-site tree edges ride
-  Myrinet instead of the WAN fabric's uplinks), and the plain-integer
-  WAN-crossing/byte counters behind ``Comm.coll_stats``.
+  the real site map, the *schedule view* the collectives run over,
+  lazily-established per-site subcircuits (the PadicoTM selector picks
+  the site SAN for those, so intra-site tree edges ride Myrinet instead
+  of the WAN fabric's uplinks), and the plain-integer WAN-crossing/byte
+  counters behind ``Comm.coll_stats``.
+
+Every collective has one two-level schedule.  Flat mode is not a second
+code path: it is the same schedule over a one-site view of the whole
+group, which degenerates to the classic rank-order binomial trees.
 
 Rank-local ``Comm`` objects cannot share state directly, so
 :func:`shared_state` caches one :class:`CollShared` per communicator
@@ -32,7 +34,6 @@ guards.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -50,32 +51,13 @@ class CollTuning:
     """Collective-path tuning, fixed at communicator construction.
 
     ``aware``
-        route collectives through the site hierarchy (default).  Flat
-        mode — ``CollTuning(aware=False)`` or ``REPRO_MPI_COLL=flat`` —
-        keeps the original rank-order binomial trees and serves as the
-        differential-testing oracle.
-    ``alltoall_threshold``
-        per-destination-site aggregate size (bytes) below which an
-        alltoall sender bypasses the leader relay and sends its
-        payloads directly (0 = always aggregate through leaders).
+        schedule collectives over the group's real sites (default).
+        Flat mode, ``CollTuning(aware=False)``, schedules them over a
+        one-site view of the group: the original rank-order binomial
+        trees, kept as the WAN-crossing baseline.
     """
 
     aware: bool = True
-    alltoall_threshold: int = 0
-
-    @classmethod
-    def resolve(cls, explicit: "CollTuning | None" = None) -> "CollTuning":
-        """Pick the tuning: an explicit value wins, else the
-        ``REPRO_MPI_COLL`` environment variable, else aware."""
-        if explicit is not None:
-            return explicit
-        mode = os.environ.get("REPRO_MPI_COLL", "aware").strip().lower()
-        if mode == "flat":
-            return cls(aware=False)
-        if mode in ("", "aware"):
-            return cls()
-        raise ValueError(
-            f"REPRO_MPI_COLL must be 'aware' or 'flat', got {mode!r}")
 
 
 class CollStats:
@@ -144,13 +126,16 @@ class CollShared:
 
     def __init__(self, circuit: Circuit, group: list[int], context: str,
                  tuning: CollTuning):
-        self.tuning = tuning
         self.stats = CollStats()
+        #: the real site map: WAN crossings are counted against it in
+        #: both modes
         self.sitemap = SiteMap(
             [circuit.members[g].host.site for g in group])
-        #: hierarchy engaged: aware tuning on a genuinely multi-site
-        #: group.  Single-site groups keep the flat path bit-for-bit.
-        self.active = tuning.aware and self.sitemap.multi_site
+        #: the whole group as one site — flat mode's schedule view, and
+        #: the fallback of reductions the hierarchy cannot reorder
+        self.one_site = SiteMap([""] * len(group))
+        #: the view every collective schedules over
+        self.view = self.sitemap if tuning.aware else self.one_site
         self._circuit = circuit
         self._group = list(group)
         self._context = context

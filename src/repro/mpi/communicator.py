@@ -15,14 +15,14 @@ Cost model (charged to the virtual clock):
 - wire time and per-message overheads are charged by the Circuit layer.
 
 Collectives are *topology aware* by default (MPICH-G2 style, see
-:mod:`repro.mpi.coll`): on a multi-site group each collective routes
-through cluster-local binomial subtrees under per-site leaders, with
-only leaders crossing the WAN — intra-site edges ride a per-site
-subcircuit whose fabric the PadicoTM selector picks (the site SAN on a
-grid).  ``CollTuning(aware=False)`` or ``REPRO_MPI_COLL=flat`` selects
-the original flat rank-order binomial trees, the differential-testing
-oracle; single-site groups always take the flat path unchanged.  Both
-modes maintain per-communicator WAN-crossing/byte counters
+:mod:`repro.mpi.coll`): each collective has one two-level schedule —
+cluster-local binomial subtrees under per-site leaders, with only
+leaders crossing the WAN; intra-site edges ride a per-site subcircuit
+whose fabric the PadicoTM selector picks (the site SAN on a grid).
+``CollTuning(aware=False)`` runs the same schedule over a one-site view
+of the group, which is the classic flat rank-order binomial tree; a
+single-site group gets that tree in both modes.  Both modes maintain
+per-communicator WAN-crossing/byte counters
 (:attr:`Comm.coll_stats`) and, when a monitor is attached, the
 ``mpi.wan_crossings`` / ``mpi.wan_bytes.<op>`` obs counters.
 
@@ -45,7 +45,13 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from repro.mpi.coll import CollShared, CollStats, CollTuning, shared_state
+from repro.mpi.coll import (
+    CollShared,
+    CollStats,
+    CollTuning,
+    SiteMap,
+    shared_state,
+)
 from repro.mpi.ops import ReduceOp
 from repro.mpi.request import Request
 from repro.padicotm.abstraction.circuit import ANY_SOURCE as _CIRCUIT_ANY
@@ -130,7 +136,7 @@ class Comm:
         self._context = context
         self._coll_seq = 0
         self._proc: SimProcess | None = None
-        self._tuning = CollTuning.resolve(tuning)
+        self._tuning = tuning or CollTuning()
         self._shared_memo: CollShared | None = None
 
     # ------------------------------------------------------------------
@@ -261,8 +267,8 @@ class Comm:
 
     @property
     def coll_aware(self) -> bool:
-        """True when collectives route through the site hierarchy."""
-        return self._shared().active
+        """True when collectives schedule over more than one site."""
+        return self._shared().view.multi_site
 
     def _xsend(self, proc: SimProcess, dest: int, tag: int, body: Any,
                nbytes: float, ctx: str, op: str,
@@ -271,23 +277,23 @@ class Comm:
 
         Cross-site edges are counted against the communicator's WAN
         stats (both modes — the flat-vs-aware comparison needs the flat
-        numbers too).  With ``local=True`` (hierarchy code only, where
-        the matching receive agrees) an intra-site edge is routed over
-        the per-site subcircuit instead of the group circuit."""
+        numbers too).  With ``local=True`` (an intra-site edge of a
+        schedule whose view has more than one site; the matching
+        receive agrees) the edge is routed over the per-site subcircuit
+        instead of the group circuit."""
         shared = self._shared()
         sm = shared.sitemap
-        if sm.multi_site:
-            if sm.site_of[self._rank] != sm.site_of[dest]:
-                shared.stats.count(op, nbytes)
-                mon = self._monitor()
-                if mon is not None:
-                    mon.on_counter("mpi.wan_crossings", 1.0)
-                    mon.on_counter(f"mpi.wan_bytes.{op}", float(nbytes))
-            elif local and shared.active:
-                sub, index = shared.site_channel(sm.site_of[self._rank])
-                sub.send(proc, index[self._rank], index[dest],
-                         (ctx, tag, body), nbytes)
-                return
+        if sm.site_of[self._rank] != sm.site_of[dest]:
+            shared.stats.count(op, nbytes)
+            mon = self._monitor()
+            if mon is not None:
+                mon.on_counter("mpi.wan_crossings", 1.0)
+                mon.on_counter(f"mpi.wan_bytes.{op}", float(nbytes))
+        elif local:
+            sub, index = shared.site_channel(sm.site_of[self._rank])
+            sub.send(proc, index[self._rank], index[dest],
+                     (ctx, tag, body), nbytes)
+            return
         self._send_body(proc, dest, tag, body, nbytes, ctx)
 
     def _xrecv(self, proc: SimProcess, source: int, tag: int, ctx: str,
@@ -295,21 +301,21 @@ class Comm:
         """Receive one collective tree edge; routing mirrors
         :meth:`_xsend` (``local=True`` with ``ANY_SOURCE`` matches any
         same-site sender on the subcircuit)."""
+        if not local:
+            return self._recv_body(proc, source, tag, ctx)
         shared = self._shared()
-        if local and shared.active:
-            si = shared.sitemap.site_of[self._rank]
-            sub, index = shared.site_channel(si)
-            csrc = _CIRCUIT_ANY if source == ANY_SOURCE else index[source]
+        si = shared.sitemap.site_of[self._rank]
+        sub, index = shared.site_channel(si)
+        csrc = _CIRCUIT_ANY if source == ANY_SOURCE else index[source]
 
-            def where(payload) -> bool:
-                mctx, mtag, _body = payload
-                return mctx == ctx and (tag == ANY_TAG or mtag == tag)
+        def where(payload) -> bool:
+            mctx, mtag, _body = payload
+            return mctx == ctx and (tag == ANY_TAG or mtag == tag)
 
-            src, payload, n = sub.recv(proc, index[self._rank],
-                                       source=csrc, where=where)
-            _ctx, mtag, body = payload
-            return shared.sitemap.members[si][src], mtag, body, n
-        return self._recv_body(proc, source, tag, ctx)
+        src, payload, n = sub.recv(proc, index[self._rank],
+                                   source=csrc, where=where)
+        _ctx, mtag, body = payload
+        return shared.sitemap.members[si][src], mtag, body, n
 
     # ------------------------------------------------------------------
     # point-to-point: pickle path (lowercase)
@@ -354,20 +360,27 @@ class Comm:
         self._send_body(self.proc, dest, tag, ("b", self._stage(arr)),
                         arr.nbytes, self._p2p_context())
 
-    def Recv(self, buf: np.ndarray, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG, status: Status | None = None) -> None:
-        """Blocking receive into a caller-provided numpy buffer."""
-        src, mtag, body, n = self._recv_body(self.proc, source, tag,
-                                             self._p2p_context())
+    def _deliver(self, out: np.ndarray, body: tuple[str, Any]) -> None:
+        """Copy a buffer-path message body into ``out``.
+
+        Every buffer receive goes through here, so a pickled message or
+        a byte-size mismatch is an :class:`MpiError` on all of them."""
         kind, data = body
         if kind != "b":
-            raise MpiError("Recv matched a pickled message; use recv()")
-        out = np.asarray(buf)
+            raise MpiError("buffer receive matched a pickled message; "
+                           "use the lowercase call")
         if out.nbytes != data.nbytes:
             raise MpiError(f"receive buffer is {out.nbytes} bytes, "
                            f"message is {data.nbytes}")
         np.copyto(out, data.reshape(out.shape))
         self._count_delivery(out.nbytes)
+
+    def Recv(self, buf: np.ndarray, source: int = ANY_SOURCE,
+             tag: int = ANY_TAG, status: Status | None = None) -> None:
+        """Blocking receive into a caller-provided numpy buffer."""
+        src, mtag, body, n = self._recv_body(self.proc, source, tag,
+                                             self._p2p_context())
+        self._deliver(np.asarray(buf), body)
         if status is not None:
             status.source, status.tag, status.count = src, mtag, n
 
@@ -438,12 +451,7 @@ class Comm:
         def worker(p: SimProcess) -> None:
             try:
                 _src, _t, body, _n = self._recv_body(p, source, tag, ctx)
-                kind, data = body
-                if kind != "b":
-                    raise MpiError("Irecv matched a pickled message")
-                out = np.asarray(buf)
-                np.copyto(out, data.reshape(out.shape))
-                self._count_delivery(out.nbytes)
+                self._deliver(np.asarray(buf), body)
             except Exception as exc:  # noqa: BLE001
                 req._complete(error=exc)
             else:
@@ -493,8 +501,7 @@ class Comm:
             np.copyto(out, my_part.reshape(out.shape))
         else:
             _s, _t, body, _n = self._recv_body(self.proc, root, 9, ctx)
-            np.copyto(out, body[1].reshape(out.shape))
-            self._count_delivery(out.nbytes)
+            self._deliver(out, body)
 
     @_collective("Gatherv")
     def Gatherv(self, sendbuf: np.ndarray,
@@ -517,8 +524,7 @@ class Comm:
             for _ in range(self.size - 1):
                 src, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
                                                     10, ctx)
-                flat[offsets[src]:offsets[src + 1]] = body[1]
-                self._count_delivery(int(body[1].nbytes))
+                self._deliver(flat[offsets[src]:offsets[src + 1]], body)
         else:
             self._xsend(self.proc, root, 10, ("b", self._stage(part)),
                         part.nbytes, ctx, "Gatherv")
@@ -550,14 +556,17 @@ class Comm:
             where=lambda p: p[0] == ctx and (tag == ANY_TAG or p[1] == tag))
 
     # ------------------------------------------------------------------
-    # collective tree primitives
+    # collective schedules
     #
-    # The _seq_* helpers run a binomial schedule over an explicit
-    # participant list (global ranks) rooted at ``parts[rootpos]`` —
-    # the hierarchy uses them twice per collective: once over a site's
-    # members (``local=True``, subcircuit routing) and once over the
-    # per-site leaders (WAN edges, counted).  The classic whole-group
-    # _tree_* helpers below remain the flat path.
+    # Every collective runs one two-level schedule over a site view
+    # (see _place): binomial trees over a site's members (intra-site
+    # edges, on the per-site subcircuit when the view has several
+    # sites) and over the per-site leaders (WAN edges, counted).  Flat
+    # mode's view is the whole group as one site, where the leader
+    # level is the root alone and the site level is the classic
+    # rank-order binomial tree.  The _seq_* helpers run a binomial
+    # schedule over an explicit participant list (global ranks) rooted
+    # at ``parts[rootpos]``.
     # ------------------------------------------------------------------
     def _seq_bcast(self, parts: list[int], rootpos: int, body: Any,
                    nbytes: float, tag: int, ctx: str, op: str,
@@ -627,17 +636,78 @@ class Comm:
             mask <<= 1
         return acc
 
-    def _hier(self, root: int) -> tuple[Any, int, int, bool] | None:
-        """Hierarchy context for a collective rooted at ``root``, or
-        None when the flat path applies: ``(sitemap, my site, my
-        leader, am-I-leader)``."""
+    def _place(self, root: int, reduce: bool = False
+               ) -> tuple[SiteMap, list[int], int, bool]:
+        """This rank's place in a collective rooted at ``root``:
+        ``(view, my site's members, my site's leader, local)``, where
+        ``local`` says intra-site edges ride the per-site subcircuits
+        (only when the view has more than one site).
+
+        A reduction keeps the real sites only when they partition the
+        ranks into contiguous blocks and the root leads its block: the
+        one-site tree combines operands child-first in (root-rotated)
+        rank order, and only then does site-local pre-reduction
+        preserve that operand order for non-commutative ops
+        (associativity is still assumed, as in any tree reduction).
+        Otherwise it runs over the one-site view."""
         shared = self._shared()
-        if not shared.active:
-            return None
-        sm = shared.sitemap
+        sm = shared.view
+        if reduce and not (sm.contiguous and
+                           sm.members[sm.site_of[root]][0] == root):
+            sm = shared.one_site
         si = sm.site_of[self._rank]
-        leader = sm.leader(si, root)
-        return sm, si, leader, self._rank == leader
+        return sm, sm.members[si], sm.leader(si, root), sm.multi_site
+
+    def _bcast_body(self, body: Any, nbytes: float, root: int, ctx: str,
+                    op: str) -> tuple[Any, float]:
+        """Route a broadcast body: WAN tree over the leaders, then the
+        intra-site trees."""
+        sm, members, leader, local = self._place(root)
+        if self._rank == leader:
+            body, nbytes = self._seq_bcast(
+                sm.leaders(root), sm.site_of[root], body, nbytes, 20,
+                ctx, op, local=False)
+        return self._seq_bcast(members, members.index(leader), body,
+                               nbytes, 21, ctx, op, local=local)
+
+    def _gather_up(self, data: bytes, root: int, ctx: str,
+                   op: str) -> None:
+        """A non-root rank's part of a raw-body gather to ``root``:
+        members hand their pickled body to the site leader, which
+        forwards its site's bodies to the root as one rank-ordered
+        bundle."""
+        _sm, members, leader, local = self._place(root)
+        if self._rank != leader:
+            self._xsend(self.proc, leader, 26, ("p", data), len(data),
+                        ctx, op, local=local)
+            return
+        entries = sorted(self._site_entries(data, len(members), ctx,
+                                            local))
+        total = sum(len(d) for _r, d in entries)
+        self._xsend(self.proc, root, 27, ("rl", entries), total, ctx, op)
+
+    def _site_entries(self, data: bytes, nmembers: int, ctx: str,
+                      local: bool) -> list[tuple[int, bytes]]:
+        """A leader's own body plus its site members' raw bodies."""
+        entries = [(self._rank, data)]
+        for _ in range(nmembers - 1):
+            src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 26,
+                                            ctx, local=local)
+            entries.append((src, body[1]))
+        return entries
+
+    def _reduce_tree(self, acc: Any, redop: ReduceOp, root: int,
+                     ctx: str, op: str, buffered: bool) -> Any:
+        """Site-local pre-reduction under each leader, then the site
+        partials combine over a leaders-only WAN tree."""
+        sm, members, leader, local = self._place(root, reduce=True)
+        acc = self._seq_reduce(members, members.index(leader), acc,
+                               redop, 30, ctx, op, local, buffered)
+        if self._rank == leader:
+            acc = self._seq_reduce(sm.leaders(root), sm.site_of[root],
+                                   acc, redop, 31, ctx, op, False,
+                                   buffered)
+        return acc
 
     # ------------------------------------------------------------------
     # collectives
@@ -648,47 +718,25 @@ class Comm:
 
         2·ceil(log2(size)) message hops on the critical path — the term
         the paper's Figure-8 latency column grows by with node count.
-        On a multi-site group the aware path fences each site under its
-        leader first, then runs both phases leader-only over the WAN:
-        2·(sites−1) crossings instead of O(size·log size).
+        On a multi-site view each site fences under its leader first,
+        and both phases cross the WAN leader-only: 2·(sites−1)
+        crossings instead of O(size·log size).
         """
         ctx = self._coll_context("barrier")
-        hier = self._hier(0)
-        if hier is None:
-            self._tree_gather_signal(ctx, "barrier")
-            self._tree_bcast(("p", b""), 0.0, 0, ctx, "barrier")
-            return
-        sm, si, leader, is_leader = hier
-        members = sm.members[si]
-        lpos = members.index(leader)
-        self._seq_gather_signal(members, lpos, 22, ctx, "barrier",
-                                local=True)
-        if is_leader:
+        sm, members, leader, local = self._place(0)
+        self._seq_gather_signal(members, members.index(leader), 22, ctx,
+                                "barrier", local)
+        if self._rank == leader:
             self._seq_gather_signal(sm.leaders(0), sm.site_of[0], 23,
                                     ctx, "barrier", local=False)
-            self._seq_bcast(sm.leaders(0), sm.site_of[0], ("p", b""),
-                            0.0, 24, ctx, "barrier", local=False)
-        self._seq_bcast(members, lpos, ("p", b""), 0.0, 25, ctx,
-                        "barrier", local=True)
+        self._bcast_body(("p", b""), 0.0, 0, ctx, "barrier")
 
     Barrier = barrier
-
-    def _tree_gather_signal(self, ctx: str, op: str) -> None:
-        size, rank = self.size, self._rank
-        mask = 1
-        while mask < size:
-            if rank & mask:
-                self._xsend(self.proc, rank - mask, 0, ("p", b""), 0,
-                            ctx, op)
-                break
-            if rank + mask < size:
-                self._recv_body(self.proc, rank + mask, 0, ctx)
-            mask <<= 1
 
     @_collective("bcast")
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Binomial-tree broadcast of a pickled object (leader-relayed
-        on a multi-site group: exactly sites−1 WAN crossings)."""
+        on a multi-site view: exactly sites−1 WAN crossings)."""
         ctx = self._coll_context("bcast")
         if self._rank == root:
             data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -697,7 +745,7 @@ class Comm:
             n = float(len(data))
         else:
             body, n = None, 0.0  # type: ignore[assignment]
-        body, n = self._any_bcast(body, n, root, ctx, "bcast")
+        body, n = self._bcast_body(body, n, root, ctx, "bcast")
         _kind, data = body
         self.proc.sleep(n * PICKLE_BYTE_COST)
         return pickle.loads(data)
@@ -718,215 +766,111 @@ class Comm:
             n = float(out.nbytes)
         else:
             body, n = None, 0.0  # type: ignore[assignment]
-        body, _n = self._any_bcast(body, n, root, ctx, "Bcast")
+        body, _n = self._bcast_body(body, n, root, ctx, "Bcast")
         if self._rank != root:
-            np.copyto(out, body[1].reshape(out.shape))
-            self._count_delivery(out.nbytes)
-
-    def _any_bcast(self, body: Any, nbytes: float, root: int, ctx: str,
-                   op: str) -> tuple[Any, float]:
-        """Route a broadcast body: flat whole-group tree, or WAN tree
-        over leaders followed by intra-site trees."""
-        hier = self._hier(root)
-        if hier is None:
-            return self._tree_bcast(body, nbytes, root, ctx, op)
-        sm, si, leader, is_leader = hier
-        if is_leader:
-            body, nbytes = self._seq_bcast(
-                sm.leaders(root), sm.site_of[root], body, nbytes, 20,
-                ctx, op, local=False)
-        members = sm.members[si]
-        return self._seq_bcast(members, members.index(leader), body,
-                               nbytes, 21, ctx, op, local=True)
-
-    def _tree_bcast(self, body: Any, nbytes: float, root: int,
-                    ctx: str, op: str) -> tuple[Any, float]:
-        """Binomial-tree broadcast: each node receives once (from its
-        parent in the virtual-rank tree) then forwards down."""
-        size = self.size
-        vrank = (self._rank - root) % size
-        mask = 1
-        while mask < size:
-            if vrank < mask:
-                if vrank + mask < size:
-                    dst = (vrank + mask + root) % size
-                    self._xsend(self.proc, dst, 2, body, nbytes, ctx, op)
-            elif vrank < mask << 1:
-                src = (vrank - mask + root) % size
-                _s, _t, body, nbytes = self._recv_body(self.proc, src, 2, ctx)
-            mask <<= 1
-        return body, nbytes
+            self._deliver(out, body)
 
     @_collective("gather")
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
         """Gather pickled objects to ``root`` (rank order preserved).
 
-        Aware path: raw pickled bodies are collected under each site
-        leader first, then forwarded to the root as one bundle per
-        remote site (sites−1 WAN crossings, each carrying only that
-        site's bytes); the root alone pays the unpickle cost, once per
-        contribution — exactly the flat path's accounting."""
+        Raw pickled bodies are collected under each site leader first,
+        then forwarded to the root as one bundle per remote site
+        (sites−1 WAN crossings, each carrying only that site's bytes);
+        the root alone pays the unpickle cost, once per contribution."""
         ctx = self._coll_context("gather")
-        hier = self._hier(root)
-        if self._rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            if hier is None:
-                for _ in range(self.size - 1):
-                    src, _t, body, n = self._recv_body(
-                        self.proc, ANY_SOURCE, 3, ctx)
-                    out[src] = self._decode(self.proc, body, n)
-                return out
-            sm, si, _leader, _is_leader = hier
-            for _ in range(len(sm.members[si]) - 1):
-                src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 26,
-                                               ctx, local=True)
-                out[src] = self._decode(self.proc, body, n)
-            for _ in range(sm.nsites - 1):
-                _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
-                                                   27, ctx)
-                for src, data in body[1]:
-                    self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-                    out[src] = pickle.loads(data)
-            return out
-        data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-        if hier is None:
-            self._xsend(self.proc, root, 3, ("p", data), len(data), ctx,
-                        "gather")
+        if self._rank != root:
+            data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+            self._gather_up(data, root, ctx, "gather")
             return None
-        sm, si, leader, is_leader = hier
-        if not is_leader:
-            self._xsend(self.proc, leader, 26, ("p", data), len(data),
-                        ctx, "gather", local=True)
-            return None
-        entries = [(self._rank, data)]
-        for _ in range(len(sm.members[si]) - 1):
-            src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 26,
-                                            ctx, local=True)
-            entries.append((src, body[1]))
-        entries.sort()
-        total = sum(len(d) for _r, d in entries)
-        self._xsend(self.proc, root, 27, ("rl", entries), total, ctx,
-                    "gather")
-        return None
+        sm, members, _leader, local = self._place(root)
+        out: list[Any] = [None] * self.size
+        out[root] = obj
+        for _ in range(len(members) - 1):
+            src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 26, ctx,
+                                           local=local)
+            out[src] = self._decode(self.proc, body, n)
+        for _ in range(sm.nsites - 1):
+            _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE, 27,
+                                               ctx)
+            for src, data in body[1]:
+                self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+                out[src] = pickle.loads(data)
+        return out
 
     @_collective("scatter")
     def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
         """Scatter one object per rank from ``root``.
 
         The root pickles every part up front and charges the
-        serialisation cost once (the per-iteration sleep used to
-        stretch the send loop); the aware path then ships one bundle
-        per remote site to its leader, which fans out locally."""
+        serialisation cost once, then ships one bundle per remote site
+        to its leader, which fans out locally."""
         if self._rank == root and (objs is None or len(objs) != self.size):
             # reject before allocating the collective context so a failed
             # call leaves the context sequence aligned across ranks
             raise MpiError(f"scatter needs exactly {self.size} items "
                            f"at the root")
         ctx = self._coll_context("scatter")
-        hier = self._hier(root)
+        sm, members, leader, local = self._place(root)
         if self._rank == root:
             parts = {dst: pickle.dumps(item,
                                        protocol=pickle.HIGHEST_PROTOCOL)
                      for dst, item in enumerate(objs) if dst != root}
             self.proc.sleep(
                 sum(len(d) for d in parts.values()) * PICKLE_BYTE_COST)
-            if hier is None:
-                for dst in sorted(parts):
-                    data = parts[dst]
-                    self._xsend(self.proc, dst, 4, ("p", data),
-                                len(data), ctx, "scatter")
-                return objs[root]
-            sm, si, _leader, _is_leader = hier
             for s in range(sm.nsites):
-                if s == si:
-                    for dst in sm.members[s]:
-                        if dst != root:
-                            self._xsend(self.proc, dst, 29,
-                                        ("p", parts[dst]),
-                                        len(parts[dst]), ctx, "scatter",
-                                        local=True)
+                if s != sm.site_of[root]:
+                    bundle = [(dst, parts[dst]) for dst in sm.members[s]]
+                    total = sum(len(d) for _r, d in bundle)
+                    self._xsend(self.proc, sm.leader(s, root), 28,
+                                ("rl", bundle), total, ctx, "scatter")
                     continue
-                bundle = [(dst, parts[dst]) for dst in sm.members[s]]
-                total = sum(len(d) for _r, d in bundle)
-                self._xsend(self.proc, sm.leader(s, root), 28,
-                            ("rl", bundle), total, ctx, "scatter")
+                for dst in members:
+                    if dst != root:
+                        self._xsend(self.proc, dst, 29, ("p", parts[dst]),
+                                    len(parts[dst]), ctx, "scatter",
+                                    local=local)
             return objs[root]
-        if hier is None:
-            _s, _t, body, n = self._recv_body(self.proc, root, 4, ctx)
+        if self._rank != leader:
+            _s, _t, body, n = self._xrecv(self.proc, leader, 29, ctx,
+                                          local=local)
             return self._decode(self.proc, body, n)
-        sm, si, leader, is_leader = hier
-        if is_leader:
-            _s, _t, body, _n = self._recv_body(self.proc, root, 28, ctx)
-            mine = None
-            for dst, data in body[1]:
-                if dst == self._rank:
-                    mine = data
-                else:
-                    self._xsend(self.proc, dst, 29, ("p", data),
-                                len(data), ctx, "scatter", local=True)
-            self.proc.sleep(len(mine) * PICKLE_BYTE_COST)
-            return pickle.loads(mine)
-        src = root if si == sm.site_of[root] else leader
-        _s, _t, body, n = self._xrecv(self.proc, src, 29, ctx, local=True)
-        return self._decode(self.proc, body, n)
+        # leader of a remote site: unpack the root's bundle, fan out
+        _s, _t, body, _n = self._recv_body(self.proc, root, 28, ctx)
+        mine = None
+        for dst, data in body[1]:
+            if dst == self._rank:
+                mine = data
+            else:
+                self._xsend(self.proc, dst, 29, ("p", data), len(data),
+                            ctx, "scatter", local=local)
+        self.proc.sleep(len(mine) * PICKLE_BYTE_COST)
+        return pickle.loads(mine)
 
     @_collective("allgather")
     def allgather(self, obj: Any) -> list[Any]:
         """Gather raw pickled bodies to rank 0, broadcast the bundle,
-        decode once per entry on every rank.
-
-        This fixes the historical double charge: the old gather→bcast
-        composition unpickled everything at rank 0 and re-pickled the
-        assembled list, paying ``PICKLE_BYTE_COST`` twice for every
-        byte.  Bytes are now serialised once at their source and
-        deserialised once per consumer, in both modes."""
+        decode once per entry on every rank: bytes are serialised once
+        at their source and deserialised once per consumer."""
         ctx = self._coll_context("allgather")
-        hier = self._hier(0)
         data = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-        entries: list[tuple[int, bytes]] | None = None
+        body: tuple[str, Any] | None = None
+        nbytes = 0.0
         if self._rank == 0:
-            entries = [(0, data)]
-            if hier is None:
-                for _ in range(self.size - 1):
-                    src, _t, body, _n = self._recv_body(
-                        self.proc, ANY_SOURCE, 3, ctx)
-                    entries.append((src, body[1]))
-            else:
-                sm, si, _leader, _is_leader = hier
-                for _ in range(len(sm.members[si]) - 1):
-                    src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE,
-                                                    26, ctx, local=True)
-                    entries.append((src, body[1]))
-                for _ in range(sm.nsites - 1):
-                    _s, _t, body, _n = self._recv_body(
-                        self.proc, ANY_SOURCE, 27, ctx)
-                    entries.extend(body[1])
+            sm, members, _leader, local = self._place(0)
+            entries = self._site_entries(data, len(members), ctx, local)
+            for _ in range(sm.nsites - 1):
+                _s, _t, bundle, _n = self._recv_body(
+                    self.proc, ANY_SOURCE, 27, ctx)
+                entries.extend(bundle[1])
             entries.sort()
-        elif hier is None:
-            self._xsend(self.proc, 0, 3, ("p", data), len(data), ctx,
-                        "allgather")
+            body = ("rl", entries)
+            nbytes = float(sum(len(d) for _r, d in entries))
         else:
-            sm, si, leader, is_leader = hier
-            if not is_leader:
-                self._xsend(self.proc, leader, 26, ("p", data),
-                            len(data), ctx, "allgather", local=True)
-            else:
-                site_entries = [(self._rank, data)]
-                for _ in range(len(sm.members[si]) - 1):
-                    src, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE,
-                                                    26, ctx, local=True)
-                    site_entries.append((src, body[1]))
-                site_entries.sort()
-                total = sum(len(d) for _r, d in site_entries)
-                self._xsend(self.proc, 0, 27, ("rl", site_entries),
-                            total, ctx, "allgather")
-        nbytes = float(sum(len(d) for _r, d in entries)) \
-            if entries is not None else 0.0
-        body = ("rl", entries) if entries is not None else None
-        body, _n = self._any_bcast(body, nbytes, 0, ctx, "allgather")
+            self._gather_up(data, 0, ctx, "allgather")
+        body, _n = self._bcast_body(body, nbytes, 0, ctx, "allgather")
         out: list[Any] = [None] * self.size
         for src, raw in body[1]:
             self.proc.sleep(len(raw) * PICKLE_BYTE_COST)
@@ -938,14 +882,12 @@ class Comm:
         """Personalised all-to-all exchange.
 
         Every payload is pickled up front and the serialisation cost
-        charged once (hoisted out of the send loop).  The aware path
-        aggregates per-destination-site payloads through the two
-        leaders (source leader merges its site's traffic, destination
-        leader fans out), collapsing the flat path's
-        size·(size − site size) WAN crossings to sites·(sites − 1);
-        per-site aggregates below ``CollTuning.alltoall_threshold``
-        skip the relay and travel directly, announced through the
-        leader so receive counts stay deterministic."""
+        charged once.  Same-site payloads travel directly, in shift
+        order ``(rank + s) % size``.  On a multi-site view the rest is
+        aggregated per destination site through the two leaders
+        (source leader merges its site's traffic, destination leader
+        fans out), collapsing the one-site view's
+        size·(size − site size) WAN crossings to sites·(sites − 1)."""
         if len(objs) != self.size:
             raise MpiError(f"alltoall needs exactly {self.size} items")
         ctx = self._coll_context("alltoall")
@@ -958,171 +900,87 @@ class Comm:
                  for dst in shifts}
         self.proc.sleep(
             sum(len(d) for d in parts.values()) * PICKLE_BYTE_COST)
-        hier = self._hier(0)
-        if hier is None:
-            for dst in shifts:
+        sm, members, leader, local = self._place(0)
+        si = sm.site_of[self._rank]
+        for dst in shifts:
+            if sm.site_of[dst] == si:
                 self._xsend(self.proc, dst, 5, ("p", parts[dst]),
-                            len(parts[dst]), ctx, "alltoall")
-            for _ in range(self.size - 1):
-                src, _t, body, n = self._recv_body(self.proc, ANY_SOURCE,
-                                                   5, ctx)
-                out[src] = self._decode(self.proc, body, n)
-            return out
-        sm, si, leader, is_leader = hier
+                            len(parts[dst]), ctx, "alltoall", local=local)
+        relayed = self._alltoall_relay(parts, sm, leader, ctx) \
+            if sm.multi_site else []
+        for _ in range(len(members) - 1):
+            src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 5, ctx,
+                                           local=local)
+            out[src] = self._decode(self.proc, body, n)
+        for src, data in relayed:
+            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
+            out[src] = pickle.loads(data)
+        return out
+
+    def _alltoall_relay(self, parts: dict[int, bytes], sm: SiteMap,
+                        leader: int, ctx: str) -> list[tuple[int, bytes]]:
+        """Ship this rank's cross-site payloads through the leaders;
+        returns the ``(src, body)`` payloads relayed to this rank."""
+        si = sm.site_of[self._rank]
         members = sm.members[si]
-        threshold = self._tuning.alltoall_threshold
-        for dst in members:
-            if dst != self._rank:
-                self._xsend(self.proc, dst, 5, ("p", parts[dst]),
-                            len(parts[dst]), ctx, "alltoall", local=True)
-        bundles: list[tuple[int, list[tuple[int, bytes]]]] = []
-        directs: list[tuple[int, list[int]]] = []
-        for s in range(sm.nsites):
-            if s == si:
-                continue
-            sub = [(dst, parts[dst]) for dst in sm.members[s]]
-            if sum(len(d) for _r, d in sub) >= threshold:
-                bundles.append((s, sub))
-            else:
-                directs.append((s, [dst for dst, _d in sub]))
-                for dst, data in sub:
-                    self._xsend(self.proc, dst, 5, ("p", data),
-                                len(data), ctx, "alltoall")
-        up = (self._rank, bundles, directs)
-        if not is_leader:
-            upn = sum(len(d) for _s, sub in bundles for _r, d in sub)
+        up = (self._rank, [(s, [(dst, parts[dst]) for dst in sm.members[s]])
+                           for s in range(sm.nsites) if s != si])
+        if self._rank != leader:
+            upn = sum(len(d) for _s, sub in up[1] for _r, d in sub)
             self._xsend(self.proc, leader, 60, ("a2a", up), upn, ctx,
                         "alltoall", local=True)
             _s, _t, body, _n = self._xrecv(self.proc, leader, 62, ctx,
                                            local=True)
-            my_entries, my_ndirect = body[1]
-        else:
-            ups = [up]
-            for _ in range(len(members) - 1):
-                _s, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 60,
-                                               ctx, local=True)
-                ups.append(body[1])
-            ups.sort(key=lambda u: u[0])
-            for s in range(sm.nsites):
-                if s == si:
-                    continue
-                entries = sorted(
-                    (src, dst, data)
-                    for src, ubundles, _ud in ups
-                    for bs, sub in ubundles if bs == s
-                    for dst, data in sub)
-                dcounts: dict[int, int] = {}
-                for _src, _ub, udirects in ups:
-                    for ds, dlist in udirects:
-                        if ds == s:
-                            for dst in dlist:
-                                dcounts[dst] = dcounts.get(dst, 0) + 1
-                total = sum(len(d) for _s2, _d2, d in entries)
-                self._xsend(self.proc, sm.leader(s, 0), 61,
-                            ("a2a", (entries, sorted(dcounts.items()))),
-                            total, ctx, "alltoall")
-            deliveries: dict[int, tuple[list, int]] = \
-                {m: ([], 0) for m in members}
-            for _ in range(sm.nsites - 1):
-                _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE,
-                                                   61, ctx)
-                entries, dcount_items = body[1]
-                for src, dst, data in entries:
-                    deliveries[dst][0].append((src, data))
-                for dst, c in dcount_items:
-                    ent, n0 = deliveries[dst]
-                    deliveries[dst] = (ent, n0 + c)
-            my_entries, my_ndirect = deliveries[self._rank]
-            my_entries.sort()
-            for m in members:
-                if m == self._rank:
-                    continue
-                ent, ndir = deliveries[m]
-                ent.sort()
-                total = sum(len(d) for _r, d in ent)
-                self._xsend(self.proc, m, 62, ("a2a", (ent, ndir)),
-                            total, ctx, "alltoall", local=True)
+            return body[1]
+        ups = [up]
         for _ in range(len(members) - 1):
-            src, _t, body, n = self._xrecv(self.proc, ANY_SOURCE, 5, ctx,
+            _s, _t, body, _n = self._xrecv(self.proc, ANY_SOURCE, 60, ctx,
                                            local=True)
-            out[src] = self._decode(self.proc, body, n)
-        for src, data in my_entries:
-            self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-            out[src] = pickle.loads(data)
-        for _ in range(my_ndirect):
-            src, _t, body, n = self._recv_body(self.proc, ANY_SOURCE, 5,
+            ups.append(body[1])
+        ups.sort(key=lambda u: u[0])
+        for s in range(sm.nsites):
+            if s == si:
+                continue
+            entries = sorted(
+                (src, dst, data)
+                for src, bundles in ups
+                for bs, sub in bundles if bs == s
+                for dst, data in sub)
+            total = sum(len(d) for _s2, _d2, d in entries)
+            self._xsend(self.proc, sm.leader(s, 0), 61, ("a2a", entries),
+                        total, ctx, "alltoall")
+        deliveries: dict[int, list[tuple[int, bytes]]] = \
+            {m: [] for m in members}
+        for _ in range(sm.nsites - 1):
+            _s, _t, body, _n = self._recv_body(self.proc, ANY_SOURCE, 61,
                                                ctx)
-            out[src] = self._decode(self.proc, body, n)
-        return out
-
-    def _hier_reduce(self, root: int) -> tuple[Any, int, int, bool] | None:
-        """Hierarchy context for a reduction, or None for the flat
-        path.
-
-        Beyond :meth:`_hier`, a reduction engages the hierarchy only
-        when sites partition the ranks into contiguous blocks and the
-        root leads its block: the flat tree combines operands
-        child-first in (root-rotated) rank order, and only then does
-        site-local pre-reduction preserve that operand order for
-        non-commutative ops (associativity is still assumed, as in any
-        tree reduction)."""
-        hier = self._hier(root)
-        if hier is None:
-            return None
-        sm = hier[0]
-        if not sm.contiguous or sm.members[sm.site_of[root]][0] != root:
-            return None
-        return hier
+            for src, dst, data in body[1]:
+                deliveries[dst].append((src, data))
+        for m in members:
+            ent = sorted(deliveries[m])
+            if m != self._rank:
+                total = sum(len(d) for _r, d in ent)
+                self._xsend(self.proc, m, 62, ("a2a", ent), total, ctx,
+                            "alltoall", local=True)
+        return sorted(deliveries[self._rank])
 
     @_collective("reduce")
     def reduce(self, obj: Any, op: ReduceOp, root: int = 0) -> Any:
         """Binomial-tree reduction of pickled objects towards ``root``.
 
-        Aware path (contiguous site blocks, block-leading root): each
-        site pre-reduces under its leader, then the site partials
-        combine over a leaders-only WAN tree — sites−1 crossings, each
-        carrying one partial."""
+        On a multi-site view (contiguous site blocks, block-leading
+        root) each site pre-reduces under its leader, then the site
+        partials combine over a leaders-only WAN tree — sites−1
+        crossings, each carrying one partial."""
         ctx = self._coll_context("reduce")
-        hier = self._hier_reduce(root)
-        if hier is None:
-            size = self.size
-            vrank = (self._rank - root) % size
-            acc = obj
-            mask = 1
-            while mask < size:
-                if vrank & mask:
-                    dst = (vrank - mask + root) % size
-                    data = pickle.dumps(acc,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                    self.proc.sleep(len(data) * PICKLE_BYTE_COST)
-                    self._xsend(self.proc, dst, 6, ("p", data),
-                                len(data), ctx, "reduce")
-                    break
-                if vrank + mask < size:
-                    src = (vrank + mask + root) % size
-                    _s, _t, body, n = self._recv_body(self.proc, src, 6,
-                                                      ctx)
-                    contrib = self._decode(self.proc, body, n)
-                    # combine in child-first order so non-commutative
-                    # ops see operands in rank order
-                    acc = op(acc, contrib)
-                mask <<= 1
-            return acc if self._rank == root else None
-        sm, si, leader, is_leader = hier
-        members = sm.members[si]
-        acc = self._seq_reduce(members, members.index(leader), obj, op,
-                               30, ctx, "reduce", local=True,
-                               buffered=False)
-        if is_leader:
-            acc = self._seq_reduce(sm.leaders(root), sm.site_of[root],
-                                   acc, op, 31, ctx, "reduce",
-                                   local=False, buffered=False)
+        acc = self._reduce_tree(obj, op, root, ctx, "reduce",
+                                buffered=False)
         return acc if self._rank == root else None
 
     @_collective("allreduce")
     def allreduce(self, obj: Any, op: ReduceOp) -> Any:
         """Reduce to rank 0, then broadcast the result (each leg
-        hierarchical on a multi-site group)."""
+        hierarchical on a multi-site view)."""
         reduced = self.reduce(obj, op, root=0)
         return self.bcast(reduced, root=0)
 
@@ -1146,43 +1004,15 @@ class Comm:
     @_collective("Reduce")
     def Reduce(self, sendbuf: np.ndarray, recvbuf: np.ndarray | None,
                op: ReduceOp, root: int = 0) -> None:
-        """Buffer-path binomial reduction (no pickle cost).
-
-        The aware path mirrors :meth:`reduce`; partials stay on the
-        zero-copy path throughout (the initial accumulator is staged
-        once, op results are fresh arrays forwarded by reference)."""
+        """Buffer-path binomial reduction (no pickle cost), scheduled
+        like :meth:`reduce`; partials stay on the zero-copy path
+        throughout (the initial accumulator is staged once, op results
+        are fresh arrays forwarded by reference)."""
         ctx = self._coll_context("Reduce")
-        hier = self._hier_reduce(root)
         # ops are functional (no in-place accumulation), so the initial
         # accumulator can reference sendbuf on the rendezvous path
-        acc = self._stage(np.ascontiguousarray(sendbuf))
-        if hier is None:
-            size = self.size
-            vrank = (self._rank - root) % size
-            mask = 1
-            while mask < size:
-                if vrank & mask:
-                    dst = (vrank - mask + root) % size
-                    self._xsend(self.proc, dst, 8, ("b", acc),
-                                acc.nbytes, ctx, "Reduce")
-                    break
-                if vrank + mask < size:
-                    src = (vrank + mask + root) % size
-                    _s, _t, body, _n = self._recv_body(self.proc, src, 8,
-                                                       ctx)
-                    acc = op(acc, body[1])
-                mask <<= 1
-        else:
-            sm, si, leader, is_leader = hier
-            members = sm.members[si]
-            acc = self._seq_reduce(members, members.index(leader), acc,
-                                   op, 32, ctx, "Reduce", local=True,
-                                   buffered=True)
-            if is_leader:
-                acc = self._seq_reduce(sm.leaders(root),
-                                       sm.site_of[root], acc, op, 33,
-                                       ctx, "Reduce", local=False,
-                                       buffered=True)
+        acc = self._reduce_tree(self._stage(np.ascontiguousarray(sendbuf)),
+                                op, root, ctx, "Reduce", buffered=True)
         if self._rank == root:
             if recvbuf is None:
                 raise MpiError("root must supply recvbuf")

@@ -50,8 +50,7 @@ def create_world(runtime: "PadicoRuntime", name: str,
     Loads the MPI module into each process (idempotent per process) and
     establishes the underlying Circuit, letting the PadicoTM selector
     pick the network unless ``fabric`` forces one.  ``coll`` pins the
-    collective tuning (topology-aware by default; ``REPRO_MPI_COLL=flat``
-    selects the flat oracle when no explicit tuning is given).
+    collective tuning (topology-aware by default).
     """
     for p in processes:
         if not p.modules.is_loaded(MpiModule.name):
@@ -59,7 +58,7 @@ def create_world(runtime: "PadicoRuntime", name: str,
     circuit = Circuit.establish(runtime, f"mpi:{name}", processes,
                                 fabric=fabric)
     group = list(range(len(processes)))
-    tuning = CollTuning.resolve(coll)
+    tuning = coll or CollTuning()
     comms = [Comm(circuit, group, r, f"mpi:{name}", tuning=tuning)
              for r in range(len(processes))]
     return World(circuit, comms)

@@ -16,12 +16,10 @@ Public API
 - :class:`Timer` — cancellable scheduled callback handle.
 - :func:`run_processes` — run a batch of process functions to completion.
 - Exceptions: :class:`SimShutdown`, :class:`SimInterrupt`,
-  :class:`SimDeadlockError`, :class:`SimProcessError`,
-  :class:`BackendUnavailableError`.
+  :class:`SimDeadlockError`, :class:`SimProcessError`.
 - Switch backends (:mod:`repro.sim.backends`): :class:`SwitchBackend`
-  protocol, :class:`ThreadBackend`, :class:`GreenletBackend`,
-  :class:`TrampolineBackend`, plus :func:`available_backends` and
-  :func:`best_available_backend`.
+  protocol, :class:`ThreadBackend`, :class:`TrampolineBackend`, plus
+  :func:`available_backends`.
 - Synchronisation primitives in :mod:`repro.sim.sync`: :class:`Mailbox`,
   :class:`SimEvent`, :class:`SimLock`, :class:`SimSemaphore`,
   :class:`SimCondition`, :class:`SimBarrier`, :class:`WaitQueue`.
@@ -29,12 +27,10 @@ Public API
 Backend selection contract
 --------------------------
 ``SimKernel(backend=...)`` accepts a backend name (``"thread"`` — the
-default, ``"greenlet"``, ``"trampoline"``), a :class:`SwitchBackend`
-instance, or None.  With None, the ``REPRO_SIM_BACKEND`` environment
-variable is consulted before falling back to the default.  Unknown
-names raise ``ValueError`` listing the valid set; ``"greenlet"``
-raises :class:`BackendUnavailableError` when the optional package (the
-``repro[sim-fast]`` extra) is missing.  Every backend preserves the
+default, or ``"trampoline"``), a :class:`SwitchBackend` instance, or
+None.  With None, the ``REPRO_SIM_BACKEND`` environment variable is
+consulted before falling back to the default.  Unknown names raise
+``ValueError`` listing the valid set.  Every backend preserves the
 same event order bit for bit — see :mod:`repro.sim.backends` for the
 determinism contract and ``docs/KERNEL.md`` for the architecture.
 """
@@ -50,13 +46,10 @@ from repro.sim.kernel import (
     run_processes,
 )
 from repro.sim.backends import (
-    BackendUnavailableError,
-    GreenletBackend,
     SwitchBackend,
     ThreadBackend,
     TrampolineBackend,
     available_backends,
-    best_available_backend,
 )
 from repro.sim.sync import (
     Mailbox,
@@ -80,13 +73,10 @@ __all__ = [
     "SimInterrupt",
     "SimDeadlockError",
     "SimProcessError",
-    "BackendUnavailableError",
     "SwitchBackend",
     "ThreadBackend",
-    "GreenletBackend",
     "TrampolineBackend",
     "available_backends",
-    "best_available_backend",
     "Mailbox",
     "MatchQueue",
     "SimTimeout",

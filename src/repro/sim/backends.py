@@ -13,10 +13,6 @@ tracer hook points, or any code above the kernel:
   release/acquire pair on each side.  Supports blocking anywhere,
   including deep inside the sync primitives, at the cost of two OS
   semaphore handshakes (and a GIL handoff) per switch.
-* :class:`GreenletBackend` (name ``"greenlet"``) — identical blocking
-  semantics on ``greenlet`` coroutines: a switch is a userspace stack
-  swap, no OS scheduler involved.  Requires the optional ``greenlet``
-  package (the ``repro[sim-fast]`` extra).
 * :class:`TrampolineBackend` (name ``"trampoline"``) — pure-Python
   fallback with no dependencies: processes written as *generator
   functions* are driven by a send/throw trampoline, and every blocking
@@ -28,7 +24,7 @@ tracer hook points, or any code above the kernel:
 
 Backend-portable coroutine processes
 ------------------------------------
-A process written as a generator runs on **all three** backends with a
+A process written as a generator runs on **both** backends with a
 byte-identical event order::
 
     def ticker(p, n):
@@ -36,7 +32,7 @@ byte-identical event order::
             yield p.sleep(1e-6)       # thread: blocks inside sleep();
                                       # trampoline: suspends at the yield
 
-Under the thread/greenlet backends the generator is driven by an
+Under the thread backend the generator is driven by an
 echo-loop (each yielded value is sent straight back in), so
 ``value = yield p.suspend()`` delivers the wake value identically
 everywhere.
@@ -53,7 +49,7 @@ Determinism contract (what every backend must preserve)
    ``kernel._on_process_exit``) before the final switch back — in the
    same relative order on every backend.
 
-Selection: ``SimKernel(backend="thread"|"greenlet"|"trampoline")``, a
+Selection: ``SimKernel(backend="thread"|"trampoline")``, a
 :class:`SwitchBackend` instance, or the ``REPRO_SIM_BACKEND``
 environment variable (read when no explicit backend is passed).
 """
@@ -67,21 +63,12 @@ from typing import Any, Callable
 
 from repro.sim.kernel import SimProcess, SimShutdown
 
-try:  # optional extra: pip install repro[sim-fast]
-    import greenlet as _greenlet
-except ImportError:  # pragma: no cover - exercised where greenlet is absent
-    _greenlet = None
-
 #: name of the backend used when neither ``SimKernel(backend=...)`` nor
 #: ``REPRO_SIM_BACKEND`` says otherwise
 DEFAULT_BACKEND = "thread"
 
 #: environment variable consulted when no explicit backend is passed
 BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
-
-
-class BackendUnavailableError(RuntimeError):
-    """A known backend cannot run here (missing optional dependency)."""
 
 
 class _Immediate:
@@ -150,7 +137,7 @@ class SwitchBackend:
 
 
 def _execute(proc: SimProcess) -> None:
-    """Run a process body to completion (thread/greenlet backends).
+    """Run a process body to completion (thread backend).
 
     Handles the pre-start shutdown exception, drives generator bodies
     with an echo-loop (each yielded value is sent straight back, so
@@ -221,55 +208,6 @@ class ThreadBackend(SwitchBackend):
         proc._state = SimProcess._STATE_BLOCKED
         self._control.release()
         proc._go.acquire()
-        proc._waiting_on = None
-        proc._state = SimProcess._STATE_RUNNING
-        if proc._pending_exc is not None:
-            exc = proc._pending_exc
-            proc._pending_exc = None
-            raise exc
-        return proc._wake_value
-
-
-class GreenletBackend(SwitchBackend):
-    """Userspace stack switching via ``greenlet``: same blocking
-    semantics as :class:`ThreadBackend` (any frame may suspend) with no
-    OS scheduler or GIL handoff on the switch path."""
-
-    name = "greenlet"
-
-    def __init__(self) -> None:
-        if _greenlet is None:
-            raise BackendUnavailableError(
-                "the 'greenlet' backend needs the greenlet package "
-                "(pip install repro[sim-fast]); the dependency-free "
-                "alternative for coroutine processes is "
-                "backend='trampoline'")
-        super().__init__()
-        self._kernel_glet: Any = None
-
-    def create(self, proc: SimProcess) -> None:
-        # created lazily at first dispatch so the parent (where control
-        # lands when the body returns) is the kernel's greenlet, even
-        # when the spawn happened inside another simulated process
-        proc._glet = None
-
-    def run_until_yield(self, proc: SimProcess) -> None:
-        self._kernel_glet = _greenlet.getcurrent()
-        glet = proc._glet
-        if glet is None:
-            glet = proc._glet = _greenlet.greenlet(self._run)
-            glet.switch(proc)
-        else:
-            glet.switch()
-
-    def _run(self, proc: SimProcess) -> None:
-        _execute(proc)
-        # falling off the end kills the greenlet and resumes its parent
-        # — the kernel greenlet that created it in run_until_yield
-
-    def block(self, proc: SimProcess) -> Any:
-        proc._state = SimProcess._STATE_BLOCKED
-        self._kernel_glet.switch()
         proc._waiting_on = None
         proc._state = SimProcess._STATE_RUNNING
         if proc._pending_exc is not None:
@@ -369,7 +307,7 @@ class TrampolineBackend(SwitchBackend):
             f"process {proc.name!r} tried to block inside a nested call "
             f"frame (a sync primitive such as Mailbox/SimLock), which "
             f"the 'trampoline' backend cannot suspend; use the 'thread' "
-            f"or 'greenlet' backend for this workload")
+            f"backend for this workload")
 
     def block_leaf(self, proc: SimProcess) -> Any:
         if proc._gen is None:
@@ -377,8 +315,7 @@ class TrampolineBackend(SwitchBackend):
                 f"process {proc.name!r} is a plain function; the "
                 f"'trampoline' backend can only suspend coroutine "
                 f"processes — write the body as a generator and yield "
-                f"each blocking call, or use the 'thread'/'greenlet' "
-                f"backend")
+                f"each blocking call, or use the 'thread' backend")
         proc._state = SimProcess._STATE_BLOCKED
         return None  # the generator must yield this immediately
 
@@ -405,27 +342,13 @@ class TrampolineBackend(SwitchBackend):
 #: registry of constructible backends, keyed by their selection name
 BACKENDS: dict[str, Callable[[], SwitchBackend]] = {
     ThreadBackend.name: ThreadBackend,
-    GreenletBackend.name: GreenletBackend,
     TrampolineBackend.name: TrampolineBackend,
 }
 
 
 def available_backends() -> tuple[str, ...]:
-    """Backend names constructible in this environment, in registry
-    order (``greenlet`` is excluded when the package is missing)."""
-    names = []
-    for name in BACKENDS:
-        if name == GreenletBackend.name and _greenlet is None:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
-def best_available_backend() -> str:
-    """The fastest switch backend usable here: ``greenlet`` when the
-    package is installed, else the dependency-free ``trampoline``."""
-    return GreenletBackend.name if _greenlet is not None \
-        else TrampolineBackend.name
+    """Backend names constructible here, in registry order."""
+    return tuple(BACKENDS)
 
 
 def resolve_backend(spec: Any) -> SwitchBackend:

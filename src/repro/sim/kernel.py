@@ -14,8 +14,8 @@ pluggable :class:`~repro.sim.backends.SwitchBackend`
 variable).  The default ``"thread"`` backend is the classic "threads as
 coroutines" pattern — each process owns a semaphore, the backend owns
 one, and a switch is a release/acquire pair on each side; the
-``"greenlet"`` and ``"trampoline"`` backends swap that OS handshake for
-userspace switching while preserving the event order bit for bit (see
+``"trampoline"`` backend swaps that OS handshake for generator-based
+switching while preserving the event order bit for bit (see
 :mod:`repro.sim.backends` for the determinism contract).
 
 Two opt-in hooks support the dynamic sanitizer (:mod:`repro.sanitizer`);
@@ -198,19 +198,19 @@ class SimProcess:
     Created via :meth:`SimKernel.spawn`.  The target function receives
     the process object as its first argument, giving access to
     :meth:`sleep`, :meth:`suspend` and the kernel.  The execution
-    context behind it (OS thread, greenlet, or generator trampoline)
+    context behind it (OS thread or generator trampoline)
     belongs to the kernel's switch backend.
     """
 
     # slots keep the per-event attribute traffic on fast descriptors;
     # ``__dict__`` stays available for layers that tack extra state onto
     # a process (corba_principal, security_policy, ...), and the
-    # backend-owned execution handles (_thread/_go/_glet/_gen) are
+    # backend-owned execution handles (_thread/_go/_gen) are
     # declared here so every backend can attach its own
     __slots__ = ("kernel", "name", "daemon", "result", "exc", "_fn",
                  "_args", "_state", "_wake_value", "_pending_exc",
                  "_wake_token", "_joiners", "_waiting_on",
-                 "_pending_join", "_thread", "_go", "_glet", "_gen",
+                 "_pending_join", "_thread", "_go", "_gen",
                  "__dict__", "__weakref__")
 
     _STATE_NEW = "new"
@@ -372,7 +372,7 @@ class SimKernel:
     """Event loop + virtual clock for a deterministic simulation.
 
     ``backend`` selects the switch backend (``"thread"`` — the default,
-    ``"greenlet"``, ``"trampoline"``, or a
+    ``"trampoline"``, or a
     :class:`~repro.sim.backends.SwitchBackend` instance); unknown names
     are rejected with the valid set.  When no backend is passed the
     ``REPRO_SIM_BACKEND`` environment variable is consulted.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import MAX, MAXLOC, MIN, PROD, SUM
+from repro.mpi import MAX, MAXLOC, MIN, PROD, SUM, MpiError
 
 from tests.mpi.conftest import run_spmd
 
@@ -83,6 +83,22 @@ def test_scatter_wrong_length_raises(runtime):
         return comm.scatter(None, root=0)
 
     assert run_spmd(runtime, 2, body) == [10, 20]
+
+
+def test_bcast_buffer_size_mismatch_raises(runtime):
+    """A rank whose Bcast buffer is the wrong size gets an MpiError;
+    the tree still forwards the message to everyone else."""
+    def body(proc, comm):
+        n = 3 if comm.rank == 2 else 6
+        buf = np.arange(n, dtype=np.int64)
+        if comm.rank == 2:
+            with pytest.raises(MpiError, match="24 bytes, message is 48"):
+                comm.Bcast(buf, root=0)
+            return None
+        comm.Bcast(buf, root=0)
+        return int(buf.sum())
+
+    assert run_spmd(runtime, 4, body) == [15, 15, None, 15]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])

@@ -1,10 +1,14 @@
 """Topology-aware hierarchical collectives (MPICH-G2 style).
 
-Differential tests: the flat rank-order binomial path
-(``CollTuning(aware=False)``) is the oracle; the aware path must
-produce identical values for every collective, every root, and every
-rank layout, while crossing the WAN less.
+Flat mode (``CollTuning(aware=False)``) runs the same two-level
+schedule over a one-site view of the group, so flat/aware equality
+alone proves little.  The oracle is :func:`_expected`, a pure function
+that shares no code with the schedule: both modes must produce its
+values for every collective, every root and every rank layout, and the
+aware mode must cross the WAN less.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -33,10 +37,8 @@ def _grid(sites, hosts_per_site, **kw):
     return rt, site_hosts
 
 
-def _run(rt, procs, fn, *args, aware=True, tolerate_blocked=False,
-         coll=None):
-    world = create_world(rt, "w", procs,
-                         coll=coll or CollTuning(aware=aware))
+def _run(rt, procs, fn, *args, aware=True, tolerate_blocked=False):
+    world = create_world(rt, "w", procs, coll=CollTuning(aware=aware))
     threads = spmd(world, fn, *args)
     rt.kernel.run()
     results = []
@@ -92,26 +94,53 @@ def _all_collectives(proc, comm, root):
     return res
 
 
+def _expected(root, size):
+    """What :func:`_all_collectives` returns on each rank, computed
+    directly.  Reductions combine operands in root-rotated rank order
+    (``root, root+1, ..., root-1``), the order the binomial tree
+    documents for non-commutative ops."""
+    ranks = range(size)
+    rotated = [(root + i) % size for i in ranks]
+
+    def at_root(r, value):
+        return value if r == root else None
+
+    def fold(op, operand):
+        return functools.reduce(op, [operand(r) for r in rotated])
+
+    total = size * (size + 1) // 2
+    return [{
+        "bcast": root,
+        "Bcast": int((np.arange(64) + 1000).sum()),
+        "gather": at_root(r, [(i, "x" * i) for i in ranks]),
+        "scatter": f"part{r}",
+        "allgather": [i * 7 for i in ranks],
+        "reduce": at_root(r, fold(SUM, lambda i: (i + 1) * 3)),
+        "reduce_nc": at_root(r, fold(CONCAT, lambda i: f"r{i}.")),
+        "maxloc": at_root(r, fold(MAXLOC, lambda i: (size - i, i))),
+        "allreduce": total,
+        "alltoall": [f"{i}->{r}" for i in ranks],
+        "Reduce": at_root(r, float(total)),
+        "Allreduce": float(total),
+    } for r in ranks]
+
+
 @pytest.mark.parametrize("sites,hps", [(2, 2), (3, 3), (2, 1), (4, 2)])
 def test_flat_vs_aware_identical_for_every_root(sites, hps):
-    """Every collective, every root: aware values == flat values."""
-    flat = None
+    """Every collective, every root: both modes match the oracle (and
+    therefore each other)."""
     for aware in (False, True):
         rt, site_hosts = _grid(sites, hps)
         world = create_world(rt, "w", _procs(rt, site_hosts),
                              coll=CollTuning(aware=aware))
-        per_root = []
         for root in range(sites * hps):
             threads = spmd(world, _all_collectives, root)
             rt.kernel.run()
             for t in threads:
                 assert not t.alive and t.exc is None, \
                     f"root={root} {t.name}: {t.exc!r}"
-            per_root.append([t.result for t in threads])
-        if flat is None:
-            flat = per_root
-        else:
-            assert per_root == flat
+            assert [t.result for t in threads] == \
+                _expected(root, sites * hps), f"aware={aware} root={root}"
         rt.shutdown()
 
 
@@ -152,6 +181,17 @@ def test_bcast_crosses_wan_exactly_sites_minus_one():
 def test_flat_mode_crosses_more_and_both_modes_count():
     """The comparison the bench publishes: both modes maintain the
     counters; aware crosses strictly less on a multi-site group."""
+    rt, site_hosts = _grid(2, 2)
+
+    def bcast(proc, comm):
+        assert not comm.coll_aware
+        comm.bcast(b"x" if comm.rank == 0 else None, root=0)
+
+    world, _ = _run(rt, _procs(rt, site_hosts), bcast, aware=False)
+    # flat 2x2 bcast from rank 0: edges 0->1 (intra), 0->2, 1->3 cross
+    assert world.comm(0).coll_stats.wan_crossings == 2
+    rt.shutdown()
+
     xings = {}
     for aware in (False, True):
         rt, site_hosts = _grid(3, 3)
@@ -203,83 +243,38 @@ def test_intra_site_edges_ride_the_site_san():
 
 def test_non_contiguous_sites_still_correct():
     """Interleaved rank placement (sites are not contiguous rank
-    blocks): reduce falls back to the flat schedule internally, and
-    every collective still matches the oracle."""
-    out = {}
+    blocks): reduce falls back to the one-site view, and every
+    collective still matches the oracle."""
     for aware in (False, True):
         rt, site_hosts = _grid(3, 2)
         procs = _procs(rt, site_hosts, order="interleaved")
         _, results = _run(rt, procs, _all_collectives, 2, aware=aware)
-        out[aware] = results
+        assert results == _expected(2, len(procs))
         rt.shutdown()
-    assert out[True] == out[False]
 
 
 def test_non_power_of_two_and_uneven_roots():
-    out = {}
     for aware in (False, True):
         rt, site_hosts = _grid(3, 3)
         procs = _procs(rt, site_hosts)
         _, results = _run(rt, procs, _all_collectives, 5, aware=aware)
-        out[aware] = results
+        assert results == _expected(5, len(procs))
         rt.shutdown()
-    assert out[True] == out[False]
 
 
-def test_env_var_selects_flat_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_MPI_COLL", "flat")
-    rt, site_hosts = _grid(2, 2)
-    procs = _procs(rt, site_hosts)
-    world = create_world(rt, "w", procs)  # no explicit tuning
-
-    def body(proc, comm):
-        assert not comm.coll_aware
-        comm.bcast(b"x" if comm.rank == 0 else None, root=0)
-
-    threads = spmd(world, body)
-    rt.kernel.run()
-    assert all(t.exc is None for t in threads)
-    # flat 2x2 bcast from rank 0: edges 0->1 (intra), 0->2, 1->3 cross
-    assert world.comm(0).coll_stats.wan_crossings == 2
-    rt.shutdown()
-
-
-def test_explicit_tuning_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MPI_COLL", "flat")
-    rt, site_hosts = _grid(2, 2)
-    world = create_world(rt, "w", _procs(rt, site_hosts),
-                         coll=CollTuning(aware=True))
-
-    def body(proc, comm):
-        assert comm.coll_aware
-
-    threads = spmd(world, body)
-    rt.kernel.run()
-    assert all(t.exc is None for t in threads)
-    rt.shutdown()
-
-
-@pytest.mark.parametrize("threshold", [0, 1 << 30])
-def test_alltoall_threshold_modes(threshold):
-    """Aggregated (0) and all-direct (huge threshold) alltoall both
-    match the oracle; only the aggregated one reduces crossings."""
+def test_alltoall_aggregates_through_leaders():
+    """Cross-site payloads travel as one aggregate per (source site,
+    destination site) pair, and every payload still arrives."""
     rt, site_hosts = _grid(3, 2)
     procs = _procs(rt, site_hosts)
 
     def body(proc, comm):
         return comm.alltoall([(comm.rank, d) for d in range(comm.size)])
 
-    world, results = _run(
-        rt, procs, body,
-        coll=CollTuning(aware=True, alltoall_threshold=threshold))
+    world, results = _run(rt, procs, body, aware=True)
     n = len(procs)
-    expected = [[(s, d) for s in range(n)] for d in range(n)]
-    assert results == expected
-    xings = world.comm(0).coll_stats.wan_crossings
-    if threshold == 0:
-        assert xings == 3 * 2          # sites * (sites - 1) megas
-    else:
-        assert xings > 3 * 2           # every payload crossed directly
+    assert results == [[(s, d) for s in range(n)] for d in range(n)]
+    assert world.comm(0).coll_stats.wan_crossings == 3 * 2
     rt.shutdown()
 
 

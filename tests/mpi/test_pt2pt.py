@@ -189,6 +189,25 @@ def test_recv_buffer_size_mismatch_raises(runtime):
     assert run_spmd(runtime, 2, body)[1] is True
 
 
+def test_irecv_checks_the_message_like_recv(runtime):
+    """Irecv rejects a byte-size mismatch and a pickled message with
+    the same MpiError as Recv, instead of failing inside numpy."""
+    def body(proc, comm):
+        if comm.rank == 0:
+            comm.Send(np.arange(8, dtype=np.int64), dest=1)
+            comm.send("pickled", dest=1)
+            return None
+        req = comm.Irecv(np.empty(4, dtype=np.int64), source=0)
+        with pytest.raises(MpiError, match="32 bytes, message is 64"):
+            req.wait()
+        req = comm.Irecv(np.empty(4, dtype=np.int64), source=0)
+        with pytest.raises(MpiError, match="pickled"):
+            req.wait()
+        return True
+
+    assert run_spmd(runtime, 2, body)[1] is True
+
+
 def test_mixing_paths_detected(runtime):
     def body(proc, comm):
         if comm.rank == 0:

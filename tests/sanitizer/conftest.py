@@ -3,21 +3,15 @@
 The dynamic sanitizer (race detector, typestate monitors, schedule
 exploration) instruments the kernel through the tracer hooks, which the
 switch backends must keep semantics-identical; running the whole
-directory under each available general-purpose backend pins that.
+directory under each general-purpose backend (today only thread) pins
+that.
 """
 
 import pytest
 
-from repro.sim.backends import BACKEND_ENV_VAR, available_backends
+from repro.sim.backends import BACKEND_ENV_VAR
 
-_MATRIX = [
-    pytest.param("thread", id="thread"),
-    pytest.param(
-        "greenlet", id="greenlet",
-        marks=pytest.mark.skipif(
-            "greenlet" not in available_backends(),
-            reason="greenlet package not installed (repro[sim-fast])")),
-]
+_MATRIX = [pytest.param("thread", id="thread")]
 
 
 @pytest.fixture(autouse=True, params=_MATRIX)

@@ -1,25 +1,18 @@
 """Backend matrix for the kernel tests.
 
-Every test in this directory runs once per available *general-purpose*
-switch backend (thread, and greenlet when the optional package is
-installed) by pointing ``REPRO_SIM_BACKEND`` at it — the tests construct
-kernels normally and inherit the selection.  The trampoline backend is
-excluded from the blanket matrix (it rejects nested-frame blocking by
-design) and is exercised directly in ``test_backends.py``.
+Every test in this directory runs once per *general-purpose* switch
+backend (today only thread) by pointing ``REPRO_SIM_BACKEND`` at it —
+the tests construct kernels normally and inherit the selection.  The
+trampoline backend is excluded from the blanket matrix (it rejects
+nested-frame blocking by design) and is exercised directly in
+``test_backends.py``.
 """
 
 import pytest
 
-from repro.sim.backends import BACKEND_ENV_VAR, available_backends
+from repro.sim.backends import BACKEND_ENV_VAR
 
-_MATRIX = [
-    pytest.param("thread", id="thread"),
-    pytest.param(
-        "greenlet", id="greenlet",
-        marks=pytest.mark.skipif(
-            "greenlet" not in available_backends(),
-            reason="greenlet package not installed (repro[sim-fast])")),
-]
+_MATRIX = [pytest.param("thread", id="thread")]
 
 
 @pytest.fixture(autouse=True, params=_MATRIX)

@@ -5,26 +5,22 @@ The parity tests run the same coroutine workload on the thread backend
 and on the trampoline and require identical results, event counts, and
 final clocks — the backends may only change *how* a switch happens,
 never the event order.  (The autouse ``sim_backend`` matrix from
-``conftest.py`` additionally runs this whole file under each available
-general-purpose backend; tests that construct kernels with an explicit
+``conftest.py`` additionally runs this whole file under the thread
+backend; tests that construct kernels with an explicit
 ``backend=`` are deliberately unaffected by it.)
 """
 
 import pytest
 
 from repro.sim import (
-    BackendUnavailableError,
     SimKernel,
     SimProcessError,
     ThreadBackend,
     available_backends,
-    best_available_backend,
     format_wait_graph,
 )
 from repro.sim.backends import BACKEND_ENV_VAR
 from repro.sim.sync import Mailbox
-
-HAS_GREENLET = "greenlet" in available_backends()
 
 #: backends that can run *coroutine* (generator-function) processes
 COROUTINE_BACKENDS = list(available_backends())
@@ -60,25 +56,6 @@ def test_backend_instance_passes_through_and_binds_once():
     with pytest.raises(RuntimeError, match="already attached"):
         SimKernel(backend=backend)
     kernel.shutdown()
-
-
-@pytest.mark.skipif(HAS_GREENLET, reason="greenlet installed here")
-def test_greenlet_backend_unavailable_without_package():
-    with pytest.raises(BackendUnavailableError, match="sim-fast"):
-        SimKernel(backend="greenlet")
-    assert "greenlet" not in available_backends()
-    assert best_available_backend() == "trampoline"
-
-
-@pytest.mark.skipif(not HAS_GREENLET, reason="greenlet not installed")
-def test_greenlet_backend_available_with_package():
-    assert best_available_backend() == "greenlet"
-    with SimKernel(backend="greenlet") as kernel:
-        out = []
-        kernel.spawn(lambda p: out.append(p.kernel.now) or p.sleep(0.5),
-                     name="g")
-        kernel.run()
-    assert out == [0.0]
 
 
 # ----------------------------------------------------------------------
