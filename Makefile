@@ -36,9 +36,10 @@ test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
 
 # Deterministic copy-budget gate: replays the §4.4 CORBA+MPI workload
-# and a 16 MiB GridCCM scatter and pins the wire.copied_bytes.* totals
-# to committed expected values (runs inside `test` too; the named
-# target keeps the gate visible and re-runnable on its own)
+# and 16 MiB GridCCM scatters (block, cyclic and block-cyclic targets)
+# and pins the wire.copied_bytes.* totals to committed expected values
+# (runs inside `test` too; the named target keeps the gate visible and
+# re-runnable on its own)
 copy-budget:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q \
 		tests/obs/test_copy_budget.py
@@ -92,12 +93,20 @@ bench-collectives:
 
 # The repo benchmark (BENCHMARK.json): perfbench's own tests, then a
 # 5-second pass of every workload, each checked against the virtual-
-# clock digests pinned in perfbench/digests.json.  Kept out of `check`:
-# it is a wall-clock measurement, not a gate.
+# clock digests pinned in perfbench/digests.json.  run.py exits 0 either
+# way, so its output goes through PERFBENCH_CORRECT, which echoes it and
+# fails unless the last line is JSON with "correct": true (a digest
+# mismatch or a failed op makes it false).  Kept out of `check`: the
+# timings are a wall-clock measurement; CI runs it as its own step.
+PERFBENCH_CORRECT = import json, sys; out = sys.stdin.read(); \
+	sys.stdout.write(out); sys.exit(None if json.loads( \
+	out.splitlines()[-1])["correct"] is True else \
+	"perfbench: results are not correct")
+
 perfbench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -q perfbench
 	$(PYTHON) perfbench/run.py --workload all --seed 1 --seconds 5 \
-		--trace 0
+		--trace 0 | $(PYTHON) -c '$(PERFBENCH_CORRECT)'
 
 # SARIF findings for CI/PR annotation (exit status intentionally ignored:
 # the gating run is `lint`, this one only produces the report artifact)

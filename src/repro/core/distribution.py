@@ -6,8 +6,9 @@ A distribution maps the ``length`` global indices of a 1D array onto
 can automatically be applied"); multidimensional arrays map to nested
 sequences whose outer dimension is distributed.
 
-All index math is vectorised (numpy) so redistribution planning stays
-cheap even for large index spaces.
+Index sets are vectorised (numpy); block bounds and sizes are
+closed-form int arithmetic, so block→block redistribution planning
+allocates nothing proportional to the index space.
 """
 
 from __future__ import annotations
@@ -73,39 +74,38 @@ class BlockDistribution(Distribution):
 
     kind = "block"
 
-    def _bounds(self) -> np.ndarray:
-        base, extra = divmod(self.length, self.parts)
-        sizes = np.full(self.parts, base, dtype=np.int64)
-        sizes[:extra] += 1
-        return np.concatenate(([0], np.cumsum(sizes)))
-
+    # closed forms: the first ``extra`` blocks hold ``base + 1`` elements,
+    # so plans pay plain int arithmetic per call, never an allocation
     def start(self, part: int) -> int:
         self._check_part(part)
-        return int(self._bounds()[part])
+        base, extra = divmod(self.length, self.parts)
+        return part * base + min(part, extra)
 
     def end(self, part: int) -> int:
-        self._check_part(part)
-        return int(self._bounds()[part + 1])
+        return self.start(part) + self.local_size(part)
 
     def owner(self, index):
-        idx = np.asarray(index)
         if self.length == 0:
             raise DistributionError("empty distribution has no owners")
-        if np.any((idx < 0) | (idx >= self.length)):
+        base, extra = divmod(self.length, self.parts)
+        cut = extra * (base + 1)            # first index of a short block
+        if isinstance(index, np.ndarray):
+            if np.any((index < 0) | (index >= self.length)):
+                raise DistributionError(f"index out of range: {index}")
+            return np.where(index < cut, index // (base + 1),
+                            extra + (index - cut) // max(base, 1))
+        i = int(index)
+        if not 0 <= i < self.length:
             raise DistributionError(f"index out of range: {index}")
-        bounds = self._bounds()
-        out = np.searchsorted(bounds, idx, side="right") - 1
-        return out if isinstance(index, np.ndarray) else int(out)
+        return i // (base + 1) if i < cut else extra + (i - cut) // base
 
     def global_indices(self, part: int) -> np.ndarray:
-        self._check_part(part)
-        bounds = self._bounds()
-        return np.arange(bounds[part], bounds[part + 1], dtype=np.int64)
+        return np.arange(self.start(part), self.end(part), dtype=np.int64)
 
     def local_size(self, part: int) -> int:
         self._check_part(part)
-        bounds = self._bounds()
-        return int(bounds[part + 1] - bounds[part])
+        base, extra = divmod(self.length, self.parts)
+        return base + (part < extra)
 
     def local_of_global(self, part: int, global_idx: np.ndarray) -> np.ndarray:
         return np.asarray(global_idx, dtype=np.int64) - self.start(part)

@@ -2,13 +2,14 @@
 
 Given a source distribution over N client nodes and a target
 distribution over M server nodes of the same global index space, the
-plan lists every required :class:`Transfer`.  Block→block uses closed
-form interval intersection; arbitrary combinations fall back to
-vectorised owner arithmetic.  All nodes can compute the full plan
-independently (it depends only on the two distributions), which is what
-lets every process participate in the transfer with no coordination —
-the paper's "all processes of a parallel component participate to
-inter-component communications, to avoid bottlenecks".
+plan lists every required :class:`Transfer`.  A block source (every
+GridCCM source) plans against a block target in closed form: O(N + M)
+Python ints at any length, one ``slice`` per side.  Other pairs fall
+back to vectorised owner arithmetic.  All nodes can compute the
+full plan independently (it depends only on the two distributions),
+which is what lets every process participate in the transfer with no
+coordination — the paper's "all processes of a parallel component
+participate to inter-component communications, to avoid bottlenecks".
 
 §4.2.2: the redistribution *site* — client side, server side, or during
 communication — is a policy decision; :func:`choose_redistribution_site`
@@ -19,7 +20,6 @@ performance) heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,57 +30,25 @@ from repro.core.distribution import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Transfer:
     """One message of a redistribution.
 
-    ``src_local``/``dst_local`` are index arrays into the source part's
-    and target part's local arrays; they always have equal length.
-    For contiguous transfers both are plain slices encoded as ranges.
+    ``src_local``/``dst_local`` select equally many elements of the
+    source part's and the target part's local arrays: a unit ``slice``
+    with explicit non-negative bounds (indexing yields a view), or an
+    index array for a run of the generic fallback that is not one.
     """
 
     src: int
     dst: int
-    src_local: np.ndarray
-    dst_local: np.ndarray
+    src_local: slice | np.ndarray
+    dst_local: slice | np.ndarray
 
     @property
     def size(self) -> int:
-        return len(self.src_local)
-
-    @cached_property
-    def src_slice(self) -> slice | None:
-        """``src_local`` as a slice when it is a unit-stride range.
-
-        Block→block plans always qualify, which is what lets the wire
-        path gather pieces as views instead of fancy-index copies."""
-        return _as_slice(self.src_local)
-
-    @cached_property
-    def dst_slice(self) -> slice | None:
-        """``dst_local`` as a slice when it is a unit-stride range."""
-        return _as_slice(self.dst_local)
-
-    def __eq__(self, other: object) -> bool:  # ndarray-aware equality
-        return (isinstance(other, Transfer) and other.src == self.src
-                and other.dst == self.dst
-                and np.array_equal(other.src_local, self.src_local)
-                and np.array_equal(other.dst_local, self.dst_local))
-
-
-def _as_slice(idx: np.ndarray) -> slice | None:
-    """A slice equivalent to ``idx``, or None if it is not unit-stride."""
-    idx = np.asarray(idx)
-    n = len(idx)
-    if n == 0:
-        return slice(0, 0)
-    first = int(idx[0])
-    if int(idx[-1]) - first != n - 1:
-        return None
-    if n > 2 and not np.array_equal(idx, np.arange(first, first + n,
-                                                   dtype=idx.dtype)):
-        return None
-    return slice(first, first + n)
+        ix = self.src_local
+        return ix.stop - ix.start if isinstance(ix, slice) else len(ix)
 
 
 @dataclass
@@ -130,23 +98,20 @@ def redistribute_schedule(source: Distribution,
 
 def _block_block(source: BlockDistribution,
                  target: BlockDistribution) -> list[Transfer]:
-    """Closed-form interval intersection: O(N + M) transfers."""
+    """Closed-form interval intersection: O(N + M) unit slices.
+
+    Empty target blocks only trail, so every target part between the
+    owners of a source block's ends overlaps it."""
     transfers: list[Transfer] = []
     for src in range(source.parts):
         s0, s1 = source.start(src), source.end(src)
         if s0 == s1:
             continue
-        first = target.owner(s0)
-        last = target.owner(s1 - 1)
-        for dst in range(first, last + 1):
+        for dst in range(target.owner(s0), target.owner(s1 - 1) + 1):
             t0, t1 = target.start(dst), target.end(dst)
             lo, hi = max(s0, t0), min(s1, t1)
-            if lo >= hi:
-                continue
-            transfers.append(Transfer(
-                src, dst,
-                np.arange(lo - s0, hi - s0, dtype=np.int64),
-                np.arange(lo - t0, hi - t0, dtype=np.int64)))
+            transfers.append(Transfer(src, dst, slice(lo - s0, hi - s0),
+                                      slice(lo - t0, hi - t0)))
     return transfers
 
 
@@ -176,10 +141,18 @@ def _generic(source: Distribution, target: Distribution) -> list[Transfer]:
             sel = order[s:e]
             dst = int(sorted_owners[s])
             transfers.append(Transfer(
-                src, dst,
-                src_local[sel],
-                target.local_of_global(dst, gidx[sel])))
+                src, dst, _run(src_local[sel]),
+                _run(target.local_of_global(dst, gidx[sel]))))
     return transfers
+
+
+def _run(idx: np.ndarray) -> slice | np.ndarray:
+    """``idx`` as a unit slice when it is one; exact because every run
+    ``_generic`` builds is strictly increasing."""
+    first = int(idx[0])
+    if int(idx[-1]) - first == len(idx) - 1:
+        return slice(first, first + len(idx))
+    return idx
 
 
 # ---------------------------------------------------------------------------

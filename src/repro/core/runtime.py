@@ -311,11 +311,7 @@ class _ServerPortLayer:
                     raise GridCcmError(
                         f"{info.name}: piece from rank {src_rank} does "
                         f"not match the redistribution schedule")
-                sl = transfer.dst_slice
-                if sl is not None:
-                    local[sl] = data
-                else:
-                    local[transfer.dst_local] = data
+                local[transfer.dst_local] = data
                 if mon is not None:
                     mon.on_counter("wire.copied_bytes.gridccm",
                                    float(data.nbytes))
@@ -486,12 +482,12 @@ class _CallEngine:
                    target: int, mon=None) -> tuple:
         """Build one server node's piece message.
 
-        Unit-stride transfers (every block→block plan) gather the piece
-        as a *view* of the caller's array — zero client-side copies;
-        only genuinely scattered index sets fall back to a fancy-index
-        copy.  A nested (2D) piece stays one contiguous 2D array: the
-        CDR layer encodes its rows as contiguous views, so the old
-        copy-per-row is gone."""
+        A unit-slice transfer (every block→block plan) gathers the
+        piece as a *view* of the caller's array — zero client-side
+        copies; an index array (a scattered run) is copied into one
+        contiguous piece.  A nested (2D) piece stays
+        one contiguous 2D array: the CDR layer encodes its rows as
+        contiguous views, so the old copy-per-row is gone."""
         wire: list[Any] = [request, me, n, expected]
         for pos, (pname, _t) in enumerate(info.original.in_params):
             if pos in info.dist_positions:
@@ -502,9 +498,7 @@ class _CallEngine:
                 if transfer is None:
                     piece = data[:0]
                 else:
-                    sl = transfer.src_slice
-                    piece = data[sl] if sl is not None \
-                        else data[transfer.src_local]
+                    piece = data[transfer.src_local]
                     if not piece.flags["C_CONTIGUOUS"]:
                         piece = np.ascontiguousarray(piece)
                     if mon is not None:

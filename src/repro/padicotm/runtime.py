@@ -8,7 +8,6 @@ threads (the paper's Marcel threads)."""
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
@@ -99,18 +98,6 @@ class PadicoRuntime:
         monitors that implement it, in attach order.
         """
         return self._monitor_fan if self._monitors else None
-
-    @monitor.setter
-    def monitor(self, value: Any) -> None:
-        # legacy compat: assigning the bare attribute replaces the whole
-        # monitor set (None clears it)
-        warnings.warn(
-            "assigning PadicoRuntime.monitor directly is deprecated; use "
-            "observe()/unobserve()", DeprecationWarning, stacklevel=2)
-        for member in list(self._monitors):
-            self.unobserve(member)
-        if value is not None:
-            self.observe(value)
 
     def observe(self, monitor: Any) -> Any:
         """Attach a monitor/recorder to this runtime; returns it.

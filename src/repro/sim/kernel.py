@@ -26,9 +26,7 @@ both are free when unused:
   (``on_schedule``/``on_fire``/``on_switch``/``on_exit``), which is
   enough for a happens-before race detector to maintain per-process
   vector clocks.  Every call site is guarded by an ``is not None``
-  test, so the disabled cost is one attribute load.  (Direct
-  ``kernel.tracer = x`` assignment is deprecated; it warns and
-  delegates to ``attach_tracer``.)
+  test, so the disabled cost is one attribute load.
 - ``SimKernel(seed=...)`` — deterministically permutes the pop order of
   same-instant events (schedule exploration).  With ``seed=None`` (the
   default) the event order is exactly the historical ``(time, seq)``
@@ -46,7 +44,6 @@ object for the tracer to annotate.
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import Any, Callable, Iterable
 
 
@@ -455,17 +452,6 @@ class SimKernel:
         in attach order.
         """
         return self._tracer
-
-    @tracer.setter
-    def tracer(self, value: Any) -> None:
-        warnings.warn(
-            "assigning SimKernel.tracer directly is deprecated; use "
-            "attach_tracer()/detach_tracer()", DeprecationWarning,
-            stacklevel=2)
-        if value is None:
-            self._tracer = None
-        else:
-            self.attach_tracer(value)
 
     def attach_tracer(self, tracer: Any) -> None:
         """Install a scheduling tracer, composing with any already there.

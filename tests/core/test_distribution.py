@@ -104,3 +104,28 @@ def test_equality():
     assert BlockDistribution(2, 10) == BlockDistribution(2, 10)
     assert BlockDistribution(2, 10) != BlockDistribution(3, 10)
     assert BlockDistribution(2, 10) != CyclicDistribution(2, 10)
+
+
+# grid that includes empty vectors and fewer elements than parts
+_SMALL = st.integers(0, 40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9), _SMALL)
+def test_block_closed_forms_match_index_sets(parts, length):
+    """start/end/local_size and scalar/array owner are int arithmetic;
+    pin them to an independent HPF BLOCK split (np.array_split gives
+    the first ``length % parts`` parts one extra element)."""
+    dist = BlockDistribution(parts, length)
+    split = np.array_split(np.arange(length, dtype=np.int64), parts)
+    offset = 0
+    for part, gidx in enumerate(split):
+        assert (dist.start(part), dist.end(part)) == \
+            (offset, offset + len(gidx))
+        assert dist.local_size(part) == len(gidx)
+        assert np.array_equal(dist.global_indices(part), gidx)
+        assert [dist.owner(int(g)) for g in gidx] == [part] * len(gidx)
+        if len(gidx):
+            assert np.array_equal(dist.owner(gidx),
+                                  np.full(len(gidx), part))
+        offset += len(gidx)

@@ -64,11 +64,10 @@ def test_block_block_transfer_count(n, m, length):
                                  BlockDistribution(m, length))
     assert len(plan.transfers) <= n + m - 1
     for t in plan.transfers:
-        # contiguous pieces on both sides
-        assert np.array_equal(np.diff(t.src_local),
-                              np.ones(t.size - 1)) or t.size <= 1
-        assert np.array_equal(np.diff(t.dst_local),
-                              np.ones(t.size - 1)) or t.size <= 1
+        # contiguous pieces on both sides: unit-step slices
+        for sl in (t.src_local, t.dst_local):
+            assert isinstance(sl, slice) and sl.step in (None, 1)
+            assert sl.stop - sl.start == t.size
 
 
 def test_identity_redistribution_is_node_to_node():

@@ -4,7 +4,9 @@ The old implementation rescanned all ``n`` source indices once per
 distinct destination owner (``owners == dst`` per destination); the new
 one does a single stable argsort and cuts the runs.  The reference
 implementation below is the pre-optimisation code, kept verbatim so the
-equivalence is pinned against the real thing, not a paraphrase.
+equivalence is pinned against the real thing, not a paraphrase.  Its
+transfers are index arrays; ``_generic`` turns unit runs into slices,
+so both are compared as expanded positions.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.distribution import Distribution, make_distribution
-from repro.core.redistribution import Transfer, _as_slice, _generic
+from repro.core.redistribution import (
+    Transfer,
+    _generic,
+    redistribute_schedule,
+)
 
 
 def _generic_reference(source: Distribution,
@@ -51,6 +57,12 @@ def _make(spec, length):
     return make_distribution(kind, parts, length, bs)
 
 
+def _positions(local, size):
+    """A transfer side (slice or index array) as the positions it
+    selects in a local array of ``size`` elements."""
+    return np.arange(size)[local]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_dist_spec, _dist_spec, st.integers(0, 200))
 def test_generic_equals_reference(src_spec, dst_spec, length):
@@ -63,58 +75,58 @@ def test_generic_equals_reference(src_spec, dst_spec, length):
     for t_new, t_old in zip(new, old):
         assert t_new.src == t_old.src
         assert t_new.dst == t_old.dst
-        assert np.array_equal(t_new.src_local, t_old.src_local)
-        assert np.array_equal(t_new.dst_local, t_old.dst_local)
+        assert np.array_equal(
+            _positions(t_new.src_local, source.local_size(t_new.src)),
+            t_old.src_local)
+        assert np.array_equal(
+            _positions(t_new.dst_local, target.local_size(t_new.dst)),
+            t_old.dst_local)
 
 
 # ---------------------------------------------------------------------------
-# slice detection on Transfer (the wire path's view-vs-copy switch)
+# slices vs index arrays (the wire path's view-vs-copy switch)
 # ---------------------------------------------------------------------------
 
-def test_as_slice_unit_stride():
-    assert _as_slice(np.arange(3, 9)) == slice(3, 9)
-    assert _as_slice(np.array([5])) == slice(5, 6)
-    assert _as_slice(np.array([2, 3])) == slice(2, 4)
-    assert _as_slice(np.array([], dtype=np.int64)) == slice(0, 0)
+def test_generic_unit_runs_become_slices():
+    """A unit-stride run of the generic fallback is planned as a slice:
+    block-cyclic blocks wholly inside one source block are contiguous on
+    both sides."""
+    plan = redistribute_schedule(make_distribution("block", 2, 40, None),
+                                 make_distribution("block-cyclic", 2, 40,
+                                                   20))
+    assert [(t.src, t.dst, t.src_local, t.dst_local)
+            for t in plan.transfers] == [(0, 0, slice(0, 20), slice(0, 20)),
+                                         (1, 1, slice(0, 20), slice(0, 20))]
 
 
-def test_as_slice_rejects_non_contiguous():
-    assert _as_slice(np.array([0, 2, 4])) is None        # stride 2
-    assert _as_slice(np.array([5, 4, 3])) is None        # descending
-    assert _as_slice(np.array([0, 2, 2])) is None        # same span, dupes
-    assert _as_slice(np.array([1, 3, 2, 4])) is None     # permuted
-
-
-def test_as_slice_accepts_python_lists():
-    assert _as_slice([4, 5, 6]) == slice(4, 7)
-    assert _as_slice([4, 6, 5]) is None
-
-
-def test_transfer_slices_cached():
-    t = Transfer(0, 1, np.arange(10), np.array([0, 2, 4, 6, 8, 1, 3, 5,
-                                                7, 9]))
-    assert t.src_slice == slice(0, 10)
-    assert t.dst_slice is None
-    # cached_property: same object on re-access
-    assert t.src_slice is t.src_slice
+def test_generic_scattered_runs_stay_arrays():
+    """Block-cyclic plans whose runs span several blocks keep index
+    arrays; indexing with them copies."""
+    plan = redistribute_schedule(make_distribution("block", 2, 40, None),
+                                 make_distribution("block-cyclic", 2, 40, 4))
+    assert plan.transfers
+    for t in plan.transfers:
+        assert isinstance(t.src_local, np.ndarray)
+        assert isinstance(t.dst_local, slice)   # whole local blocks
+        assert np.array_equal(np.diff(t.src_local) > 0,
+                              np.ones(t.size - 1, dtype=bool))
 
 
 def test_block_block_transfers_are_sliceable():
     source = make_distribution("block", 3, 100, None)
     target = make_distribution("block", 4, 100, None)
-    from repro.core.redistribution import redistribute_schedule
     plan = redistribute_schedule(source, target)
     assert plan.transfers
     for t in plan.transfers:
-        assert t.src_slice is not None
-        assert t.dst_slice is not None
+        assert isinstance(t.src_local, slice)
+        assert isinstance(t.dst_local, slice)
 
 
 def test_cyclic_transfers_are_not_sliceable():
     source = make_distribution("cyclic", 2, 40, None)
     target = make_distribution("block", 2, 40, None)
-    from repro.core.redistribution import redistribute_schedule
     plan = redistribute_schedule(source, target)
     # cyclic part 0 owns every even global index: its local indices are
     # contiguous but the block-side placement is strided
-    assert any(t.dst_slice is None for t in plan.transfers)
+    assert all(isinstance(t.src_local, slice) for t in plan.transfers)
+    assert any(isinstance(t.dst_local, np.ndarray) for t in plan.transfers)

@@ -1,6 +1,6 @@
 """Deterministic copy-budget gate (wired into ``make check``).
 
-Replays two paper workloads and pins the ``wire.copied_bytes.*``
+Replays paper workloads and pins the ``wire.copied_bytes.*``
 counters to committed expected values.  The counters are driven by the
 simulation, not the wall clock, so the gate is exact and deterministic:
 any new copy on the wire path changes a total and fails CI with the
@@ -139,7 +139,7 @@ _SCATTER_XML = """
 <parallelism component="Bench::Endpoint">
   <port name="input">
     <operation name="absorb">
-      <argument name="values" distribution="block"/>
+      <argument name="values" {dist}/>
       <result policy="none"/>
     </operation>
   </port>
@@ -152,7 +152,8 @@ class _SinkImpl(ComponentImpl):
         self.mpi.Barrier()
 
 
-def _scatter_deltas() -> dict[str, float]:
+def _scatter_deltas(dist: str = 'distribution="block"') -> dict[str, float]:
+    xml = _SCATTER_XML.format(dist=dist)
     topo = Topology()
     build_cluster(topo, "h", 2 * _N, san=MYRINET_2000)
     rt = PadicoRuntime(topo)
@@ -160,7 +161,7 @@ def _scatter_deltas() -> dict[str, float]:
     server_procs = [rt.create_process(f"h{i}", f"s{i}")
                     for i in range(_N)]
     comp = ParallelComponent.create(rt, "bench", server_procs,
-                                    _SCATTER_IDL, _SCATTER_XML, _SinkImpl,
+                                    _SCATTER_IDL, xml, _SinkImpl,
                                     profile=OMNIORB4)
     url = comp.proxy_url("input")
     client_procs = [rt.create_process(f"h{_N + i}", f"c{i}")
@@ -171,7 +172,7 @@ def _scatter_deltas() -> dict[str, float]:
     def main(proc, comm):
         idl = compile_idl(_SCATTER_IDL)
         plan = GridCcmCompiler(
-            idl, ParallelismDescriptor.parse(_SCATTER_XML)).compile()
+            idl, ParallelismDescriptor.parse(xml)).compile()
         orb = Orb(client_procs[comm.rank], OMNIORB4, idl)
         pc = ParallelClient.attach(orb, plan, "input", url, comm=comm)
         pc.absorb(np.zeros(1, dtype="i4"))  # warm-up: connections + plans
@@ -205,6 +206,37 @@ def test_gridccm_16mib_scatter_copy_budget():
     copied = (delta["wire.copied_bytes.gridccm"]
               + delta.get("wire.copied_bytes.mpi", 0.0))
     assert copied <= _PRE_PR_SCATTER_COPIED / 3
+
+
+def test_gridccm_cyclic_scatter_copy_budget():
+    """Block→cyclic: each client's piece for a server is every other
+    element of its block.  The gather must copy it into one contiguous
+    piece (nothing rides by reference); the placement is one more copy.
+    Totals recorded from the index-array implementation of the plan."""
+    delta = _scatter_deltas('distribution="cyclic"')
+    assert delta["wire.copied_bytes.gridccm"] == 2 * _PAYLOAD
+    assert delta["wire.referenced_bytes.gridccm"] == 0
+    assert delta["wire.referenced_bytes.corba"] == 2 * _PAYLOAD
+    assert delta["wire.copied_bytes.corba"] == 432
+
+
+#: a block-cyclic block size that mixes contiguous and scattered pieces:
+#: client 0's piece for server 1 is exactly block 1 (gathered as a
+#: view); every other piece spans several blocks
+_BLOCK_CYCLIC = _INTS_PER_RANK * 2 // 5
+
+
+def test_gridccm_block_cyclic_scatter_copy_budget():
+    """Block→block-cyclic: exactly the one single-run piece is gathered
+    by reference, the scattered pieces are copied.  Totals recorded from
+    the index-array implementation of the plan."""
+    delta = _scatter_deltas(
+        f'distribution="block-cyclic" blocksize="{_BLOCK_CYCLIC}"')
+    view = _BLOCK_CYCLIC * 4
+    assert delta["wire.referenced_bytes.gridccm"] == view
+    assert delta["wire.copied_bytes.gridccm"] == 2 * _PAYLOAD - view
+    assert delta["wire.referenced_bytes.corba"] == 2 * _PAYLOAD
+    assert delta["wire.copied_bytes.corba"] == 432
 
 
 # ---------------------------------------------------------------------------

@@ -90,21 +90,6 @@ def test_fan_dispatches_to_all_monitors_in_order(runtime):
     assert second.calls[-1] == ("start", "op2")
 
 
-def test_legacy_monitor_setter_is_deprecated(runtime):
-    probe = _Probe("legacy")
-    with pytest.warns(DeprecationWarning, match="observe"):
-        runtime.monitor = probe
-    # the delegation to observe() still works for stragglers
-    assert probe.attached_to is runtime
-    runtime.monitor.on_span_start("x")
-    assert probe.calls == [("start", "x")]
-    # assigning None clears everything (the pre-observe idiom)
-    with pytest.warns(DeprecationWarning, match="observe"):
-        runtime.monitor = None
-    assert runtime.monitor is None
-    assert probe.attached_to is None
-
-
 def test_recorder_attach_installs_kernel_tracer(runtime):
     recorder = TraceRecorder()
     runtime.observe(recorder)

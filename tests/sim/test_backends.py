@@ -309,21 +309,6 @@ class _CountingTracer:
         pass
 
 
-def test_direct_tracer_assignment_is_deprecated_but_delegates():
-    kernel = SimKernel(backend="thread")
-    tracer = _CountingTracer()
-    with pytest.warns(DeprecationWarning, match="attach_tracer"):
-        kernel.tracer = tracer
-    assert kernel.tracer is tracer
-    kernel.spawn(lambda p: p.sleep(0.1), name="tick")
-    kernel.run()
-    assert tracer.fires > 0 and tracer.switches > 0
-    with pytest.warns(DeprecationWarning):
-        kernel.tracer = None
-    assert kernel.tracer is None
-    kernel.shutdown()
-
-
 def test_tracer_fan_rebuilds_on_attach_and_detach():
     kernel = SimKernel(backend="thread")
     first, second = _CountingTracer(), _CountingTracer()
