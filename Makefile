@@ -6,12 +6,12 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: check lint lint-full lint-mutants test copy-budget \
+.PHONY: check lint lint-full lint-mutants test copy-budget examples \
 	schedule-smoke bench-smoke bench-wallclock bench-topology \
 	bench-collectives perfbench sarif
 
-check: lint lint-mutants test copy-budget schedule-smoke bench-smoke \
-	bench-wallclock bench-topology bench-collectives
+check: lint lint-mutants test copy-budget examples schedule-smoke \
+	bench-smoke bench-wallclock bench-topology bench-collectives
 
 # Incremental: per-file results and call-graph summaries are cached by
 # content hash in .repro-lint-cache.json; the interprocedural phase
@@ -43,6 +43,14 @@ test:
 copy-budget:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q \
 		tests/obs/test_copy_budget.py
+
+# Every example script must run to completion: a non-zero exit fails
+# the target (stdout is dropped, errors still reach the log)
+examples:
+	@set -e; for f in examples/*.py; do \
+		echo "examples: $$f"; \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$f > /dev/null; \
+	done
 
 schedule-smoke:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.sanitizer --seeds 5

@@ -439,6 +439,22 @@ def _run_grid_churn(n_hosts: int, sharded: bool, churn_target: int,
     }
 
 
+def _assert_same_state(flat: FlowNetwork, sharded: FlowNetwork,
+                       n: int) -> None:
+    """Flat and sharded replays of one virtual workload must agree bit
+    for bit: the flow log, the bytes credited to every link (matched by
+    name, in crediting order) and each live flow's (seq, remaining,
+    rate)."""
+    assert flat.flow_log == sharded.flow_log, \
+        f"sharded flow log diverged from flat at {n} hosts"
+    assert [(l.name, v) for l, v in flat.link_bytes.items()] == \
+        [(l.name, v) for l, v in sharded.link_bytes.items()], \
+        f"sharded link_bytes diverged from flat at {n} hosts"
+    assert [(f.seq, f.remaining, f.rate) for f in flat.active_flows] == \
+        [(f.seq, f.remaining, f.rate) for f in sharded.active_flows], \
+        f"sharded live flows diverged from flat at {n} hosts"
+
+
 def bench_topology_scaling(quick: bool) -> BenchResult:
     levels = QUICK_GRID_HOSTS if quick else GRID_HOSTS
     targets = QUICK_GRID_CHURN_TARGETS if quick else GRID_CHURN_TARGETS
@@ -450,9 +466,12 @@ def bench_topology_scaling(quick: bool) -> BenchResult:
                     f"hosts/site, switch fanout {GRID_SWITCH_FANOUT}",
         "churn_targets": {f"H{n}": t for n, t in sorted(targets.items())},
         "flat_max_hosts": GRID_FLAT_MAX_HOSTS,
-        "speedup_metric": "flat churn-window solver wall (component walk "
-                          "+ fill) over sharded ditto, same virtual "
-                          "workload",
+        "speedup_metric": "sharded_speedup: flat churn-window solver "
+                          "wall (component walk + fill) over sharded "
+                          "solver wall; sharded_window_speedup: flat "
+                          "churn-window wall (whole window: advance, "
+                          "solve, reschedule, kernel) over sharded "
+                          "churn-window wall; same virtual workload",
     }
     recorder = TraceRecorder()
     for n in levels:
@@ -467,6 +486,7 @@ def bench_topology_scaling(quick: bool) -> BenchResult:
                          net.solver_iterations)
         meta[f"concurrent_flows_H{n}"] = len(net.active_flows)
         meta[f"ramp_wall_s_H{n}"] = round(run["ramp_wall"], 3)
+        meta[f"churn_wall_s_H{n}"] = round(run["churn_wall"], 3)
         meta[f"solver_wall_s_H{n}"] = round(
             run["solver_ramp"] + run["solver_churn"], 3)
         meta[f"completions_per_s_H{n}"] = round(
@@ -477,12 +497,14 @@ def bench_topology_scaling(quick: bool) -> BenchResult:
             flat = _run_grid_churn(n, sharded=False, churn_target=churn)
             # exactness at scale: flat and sharded replays of the same
             # virtual workload must transfer the very same bytes
-            assert flat["net"].flow_log == net.flow_log, \
-                f"sharded solve diverged from flat at {n} hosts"
+            _assert_same_state(flat["net"], net, n)
             meta[f"flat_solver_wall_s_H{n}"] = round(
                 flat["solver_ramp"] + flat["solver_churn"], 3)
+            meta[f"flat_churn_wall_s_H{n}"] = round(flat["churn_wall"], 3)
             meta[f"sharded_speedup_H{n}"] = round(
                 flat["solver_churn"] / run["solver_churn"], 2)
+            meta[f"sharded_window_speedup_H{n}"] = round(
+                flat["churn_wall"] / run["churn_wall"], 2)
     meta["counter_names"] = sorted(recorder.counters)
     return BenchResult(name="wallclock.topology.scaling", unit="events/s",
                        points=tuple(points), meta=meta)

@@ -13,45 +13,56 @@ This is the mechanism behind the paper's concurrency experiment
 bandwidth is efficiently shared: each gets 120 MB/s"): two flows across
 one 240 MB/s Myrinet host link each receive exactly half.
 
-Scaling (see docs/PERFORMANCE.md): the solver state decomposes into
-*link-connected components* — flows in different components share no
-link, so progressive filling never couples them.  :class:`FlowNetwork`
-keeps a persistent link→flows index and, on every flow add/remove,
-re-solves only the component(s) touched by the change.  Because the
-component-restricted fill performs bit-for-bit the same float
-operations as the full fill restricted to that component (same flow
-order, same link insertion order, same subtraction sequence), the
-incremental rates are *exactly* — not approximately — equal to the
-from-scratch ones.  ``FlowNetwork(..., incremental=False)`` keeps the
-historical full re-solve for differential testing.
+The flow table.  :class:`FlowNetwork` keeps each live flow as one row
+of typed columns, in admission (``Flow.seq``) order: remaining bytes,
+rate, seq, shard code and route length, plus one flat column of
+interned link ids holding the routes back to back.  Every per-event
+step runs over whole columns — numpy ops on zero-copy views once the
+table is large, plain loops up to ``_SCALAR_ROWS`` rows — and performs
+exactly the float operations of the per-flow loop it replaced, in the
+same order, so results are bit-identical:
 
-Grid scale adds a second, *hierarchical* tier on top of the component
-machinery.  Fabrics carry an optional ``site`` locality tag
-(:class:`repro.net.topology.Fabric`); a flow whose route stays inside
-one site's fabrics belongs to that site's **shard**, everything else
-(wide-area traffic, mixed routes) to the site-less **coupling tier**.
-A shard is a union of link-connected components — intra-site links are
-never shared with another site — so re-solving a whole dirty shard is
-exactly as bit-for-bit correct as re-solving the minimal component,
-but needs no per-event graph search: shard membership is one dict
-lookup.  A dirty shard is solved wholesale once it holds
-``shard_threshold`` live flows *and* the last component walked inside
-it spanned at least half the shard (a decaying estimate — densely
-coupled sites graduate to shard solves, shards full of small disjoint
-components keep the cheaper PR 4 component walk).  Large
-subsets additionally switch from the scalar progressive fill to a
-numpy-vectorised twin (:func:`_progressive_fill_vec`) above
-``vec_threshold`` — same shares, same rounds, same subtraction
-sequence, so the results remain byte-identical (the differential suite
-pins the cross-over).  Topologies where a flow's route mixes tagged and
-untagged fabrics *taint* the sites it touches, and tainted shards fall
-back to the always-correct component walk.
+* *advance*: ``remaining -= rate * dt``, and the moved bytes credited
+  to a per-link array by ``np.add.at`` over the route column
+  (unbuffered: flow by flow, link by link).  It stays *eager*, since
+  crediting lazily would change ``remaining`` in the last bits;
+* *reschedule*: a masked ``min(remaining / rate)``;
+* *completion*: a ``remaining <= _EPS_BYTES`` mask;
+* *departure*: order-preserving deletion (never swap-remove), so every
+  summation order above stays the admission order.
+
+``Flow.remaining``/``.rate`` read the table while the flow is live and
+are written back to the flow when it departs.
+
+Re-solving (see docs/PERFORMANCE.md).  Flows in different
+*link-connected components* share no link, so progressive filling
+never couples them: on every flow add/remove only the touched
+component is re-solved, through a persistent link→flows index.  The
+component-restricted fill performs bit-for-bit the float operations of
+the full fill restricted to it (same flow order, link insertion order
+and subtraction sequence), so incremental rates are *exactly* the
+from-scratch ones; ``FlowNetwork(..., incremental=False)`` keeps the
+full re-solve for differential testing.
+
+At grid scale fabrics carry a ``site`` tag
+(:class:`repro.net.topology.Fabric`).  A flow whose route stays inside
+one site's fabrics belongs to that site's **shard**, everything else to
+the site-less **coupling tier**.  A shard is a union of components, so
+a dirty shard can be re-solved whole — its rows are one mask over the
+shard column, no graph search — once it holds ``shard_threshold`` live
+flows and the last component walked inside it spanned at least half
+of it (a decaying estimate).  Subsets of ``vec_threshold`` flows or
+more are solved by a numpy twin of the fill
+(:func:`_progressive_fill_vec`) with the same shares, rounds and
+subtraction sequence.  A coupling flow touching a site's fabrics
+*taints* that shard, which then falls back to the component walk.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
-from struct import pack
+from operator import attrgetter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -63,26 +74,36 @@ from repro.sim.kernel import SimKernel, SimProcess, Timer
 #: (guards against floating-point drift in progress accounting).
 _EPS_BYTES = 1e-6
 
+#: tables of at most this many rows run the per-event steps as loops
+#: over the columns (same float ops, same order): the loops cost about
+#: 1 µs a row, numpy's calls about 18 µs in all, and they break even
+#: near 18 rows (docs/PERFORMANCE.md, "One flow table")
+_SCALAR_ROWS = 16
+
+_flow_seq_key = attrgetter("seq")
+
 
 class TransferError(RuntimeError):
     """A transfer failed mid-flight (link down, aborted)."""
 
 
 class Flow:
-    """One in-flight message on the network."""
+    """One in-flight message on the network.
 
-    __slots__ = ("route", "size", "remaining", "rate", "waiter",
-                 "callback", "error", "done", "start_time", "fid", "seq",
-                 "shard", "route_id_bytes", "route_bw_bytes",
-                 "route_len_bytes")
+    While the flow is live, ``remaining`` and ``rate`` are read from the
+    owning :class:`FlowNetwork`'s flow table; the network writes them
+    back here when the flow departs.
+    """
+
+    __slots__ = ("route", "size", "waiter", "callback", "error", "done",
+                 "start_time", "fid", "seq", "shard", "_remaining",
+                 "_rate", "_net")
 
     def __init__(self, route: Sequence[Link], size: float,
                  waiter: SimProcess | None, callback: Callable | None,
                  start_time: float):
         self.route = list(route)
         self.size = float(size)
-        self.remaining = float(size)
-        self.rate = 0.0
         self.waiter = waiter
         self.callback = callback
         self.error: Exception | None = None
@@ -90,21 +111,33 @@ class Flow:
         self.start_time = start_time
         #: observability id; assigned only while a monitor is attached
         self.fid: int | None = None
-        #: creation order within a FlowNetwork; mirrors the flow's
-        #: position in the active list so component re-solves can
-        #: reproduce the full solve's iteration order exactly
+        #: creation order within a FlowNetwork: the flow's row order in
+        #: the table, so component re-solves can reproduce the full
+        #: solve's iteration order exactly
         self.seq = 0
         #: site tag when every link on the route lives in fabrics of one
         #: site; ``None`` for wide-area / mixed routes (coupling tier)
         self.shard: str | None = None
-        #: route as interned link ids / link bandwidths / length, cached
-        #: once at add time by the owning FlowNetwork as raw little
-        #: buffers: ``bytes.join`` + ``np.frombuffer`` assembles a
-        #: 100k-flow subset's link arrays in one C pass, where
-        #: concatenating 100k tiny numpy arrays would dominate the solve
-        self.route_id_bytes: bytes = b""
-        self.route_bw_bytes: bytes = b""
-        self.route_len_bytes: bytes = b""
+        self._remaining = self.size
+        self._rate = 0.0
+        #: the network whose table holds this flow's row while it is live
+        self._net: FlowNetwork | None = None
+
+    @property
+    def remaining(self) -> float:
+        """Bytes still to transfer (as of the network's last advance)."""
+        net = self._net
+        if net is None:
+            return self._remaining
+        return net._remaining[net._row(self.seq)]
+
+    @property
+    def rate(self) -> float:
+        """Current fair-share rate in bytes/s."""
+        net = self._net
+        if net is None:
+            return self._rate
+        return net._rates[net._row(self.seq)]
 
     @property
     def progress(self) -> float:
@@ -123,67 +156,11 @@ class Flow:
         if self.done:
             return (f"<Flow {self.size:.0f}B "
                     f"{'failed' if self.error is not None else 'done'}>")
-        if self.rate == 0.0:
+        rate = self.rate
+        if rate == 0.0:
             return f"<Flow {self.size:.0f}B remaining={self.remaining:.0f}>"
         return (f"<Flow {self.size:.0f}B remaining={self.remaining:.0f} "
-                f"rate={self.rate/1e6:.1f}MB/s done={self.done}>")
-
-
-class _ShardBuf:
-    """Incrementally-maintained concatenation of one shard's per-flow
-    route byte caches, in member (ascending ``Flow.seq``) order.
-
-    The vectorised fill assembles its link tables from three byte
-    buffers (route lengths, interned link ids, link bandwidths).
-    Rebuilding them per solve costs a Python listcomp over every member
-    flow; this cache keeps them as ``bytearray`` blobs instead —
-    admission appends (amortised O(1)), departure splices the member's
-    slice out (a C-level ``memmove``, with the splice point found by
-    bisecting the ascending seq list) — so a whole-shard solve starts
-    from ready-made buffers.  The blob contents are *by construction*
-    byte-identical to ``b"".join(f.route_*_bytes for f in members)``:
-    both follow admission order, and removals preserve relative order.
-
-    ``rates`` mirrors the members' current ``Flow.rate`` values the
-    same way (valid only while ``rates_valid``; any rate write outside
-    the whole-shard solve path invalidates it).  A valid mirror lets
-    the solve diff new rates against old ones *in numpy* and assign
-    only the changed flows' attributes — under steady churn a couple
-    of percent of the shard — instead of looping over every member.
-    """
-
-    __slots__ = ("lens", "ids", "bw", "rates", "rates_valid",
-                 "seqs", "elens")
-
-    def __init__(self) -> None:
-        self.lens = bytearray()
-        self.ids = bytearray()
-        self.bw = bytearray()
-        self.rates = bytearray()
-        self.rates_valid = True
-        self.seqs: list[int] = []
-        self.elens: list[int] = []
-
-    def add(self, flow: Flow) -> None:
-        self.seqs.append(flow.seq)
-        self.elens.append(len(flow.route))
-        self.lens += flow.route_len_bytes
-        self.ids += flow.route_id_bytes
-        self.bw += flow.route_bw_bytes
-        self.rates += pack("=d", flow.rate)
-
-    def remove(self, flow: Flow) -> None:
-        i = bisect_left(self.seqs, flow.seq)
-        if i >= len(self.seqs) or self.seqs[i] != flow.seq:
-            return
-        e0 = sum(self.elens[:i])
-        n = self.elens[i]
-        del self.seqs[i]
-        del self.elens[i]
-        del self.lens[8 * i:8 * (i + 1)]
-        del self.ids[8 * e0:8 * (e0 + n)]
-        del self.bw[8 * e0:8 * (e0 + n)]
-        del self.rates[8 * i:8 * (i + 1)]
+                f"rate={rate/1e6:.1f}MB/s done={self.done}>")
 
 
 def _progressive_fill(
@@ -254,108 +231,60 @@ def _route_shard(route: Sequence[Link]) -> str | None:
 
 
 def _progressive_fill_vec(
-        flows: Sequence[Flow],
-        n_ids: int | None = None,
+        lens: np.ndarray, gids: np.ndarray, bw: np.ndarray, n_ids: int,
         groups: Sequence[int] | None = None,
-        buffers: tuple[bytes, bytes, bytes] | None = None,
-        out_array: bool = False,
-) -> tuple[list[float] | np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Vectorised progressive fill for large flow sets.
 
-    Performs *bit-for-bit* the same computation as
-    :func:`_progressive_fill` — identical bottleneck choices (ties
-    break on first link in insertion order, which is ``np.argmin``'s
-    contract too), identical equal-share divisions, and identical
-    capacity-subtraction sequences (every subtraction in one round uses
-    the same share value, so the accumulation order inside
-    ``np.subtract.at`` cannot change the result) — but replaces the
-    per-round Python scan over all links with numpy reductions over
-    flat link arrays, themselves assembled by array ops from the
-    ``route_ids``/``route_bw`` arrays cached per flow at add time.  The
-    per-round cost drops from O(L) dict iterations to a handful of
-    array ops and the setup cost to a concatenate-and-rank pass, which
-    is what lets one shard hold 100k concurrent flows.
+    The flows come as table columns: ``lens`` holds each route's length,
+    ``gids`` the routes' interned link ids back to back (all below
+    ``n_ids``), ``bw`` the matching bandwidths.  Returns ``(rates,
+    iterations)``, one rate per flow.
 
-    ``groups`` (optional) declares ``flows`` to be a concatenation of
-    *link-disjoint* blocks of the given sizes — the shape
-    ``_reallocate_sharded`` produces when several dirty shards pass the
-    whole-shard gate in one event.  Because first-appearance ranking
-    assigns each block a contiguous link range, the round loop can run
-    per block over array *views*: the same rounds, the same float ops
-    (rounds of different blocks never touch each other's links, so the
-    global fill's interleaving of them is immaterial), but each round's
-    reductions cost O(block links) instead of O(all links).  With one
-    group (or ``None``) this degenerates to the plain global loop.
+    *Bit-for-bit* the computation of :func:`_progressive_fill`: the same
+    bottleneck choices (ties break on the first link in insertion
+    order, as ``np.argmin`` does), the same equal-share divisions and
+    the same capacity subtractions (one round subtracts one share
+    value, so the order inside ``np.subtract.at`` cannot matter) — but
+    each round is a handful of numpy reductions instead of a Python
+    scan over every link.
 
-    ``buffers`` (optional) supplies the three concatenated byte buffers
-    — ``(lens, ids, bw)``, as produced by joining :class:`_ShardBuf`
-    blobs — ready-made, skipping the per-flow listcomp assembly
-    entirely.  They must equal exactly what the listcomps would build
-    for ``flows``; the shard caches guarantee that by construction.
+    ``groups`` (optional) declares the flows a concatenation of
+    *link-disjoint* blocks of the given sizes (several dirty shards
+    solved in one event).  First-appearance ranking gives each block a
+    contiguous link range, so the rounds run per block over views: the
+    same float ops, at O(block links) per round.
     """
-    n = len(flows)
-    if n == 0:
-        return (np.empty(0, dtype=np.float64) if out_array else []), 0
+    n = len(lens)
     inf = float("inf")
-    if buffers is not None:
-        lens_b, ids_b, bw_b = buffers
-        lens = np.frombuffer(lens_b, dtype=np.int64)
-    else:
-        lens = np.frombuffer(b"".join([f.route_len_bytes for f in flows]),
-                             dtype=np.int64)
     total = int(lens.sum())
     if total == 0:  # no flow crosses any link (empty routes)
-        if out_array:
-            return np.full(n, inf, dtype=np.float64), 1
-        return [inf] * n, 1
-    # assemble the subset's link arrays from the per-flow id/bandwidth
-    # buffers cached at add time — one bytes join + frombuffer per
-    # array, no Link objects and no per-flow numpy calls on this path
-    # (or zero joins at all when the caller hands in shard-cache blobs)
-    if buffers is not None:
-        gids = np.frombuffer(ids_b, dtype=np.int64)
-        bw = np.frombuffer(bw_b, dtype=np.float64)
-    else:
-        gids = np.frombuffer(b"".join([f.route_id_bytes for f in flows]),
-                             dtype=np.int64)
-        bw = np.frombuffer(b"".join([f.route_bw_bytes for f in flows]),
-                           dtype=np.float64)
+        return np.full(n, inf, dtype=np.float64), int(n > 0)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=offsets[1:])
     # local link ids must follow *first-appearance* order (the scalar
-    # fill's link insertion order, which is what ties break on)
-    if n_ids is None:
-        # np.unique sorts by global id: rank the uniques by their first
-        # position in ``gids`` to recover first-appearance order
-        uniq, first, inv = np.unique(gids, return_index=True,
-                                     return_inverse=True)
-        n_links = len(uniq)
-        order = np.argsort(first)
-        rank = np.empty(n_links, dtype=np.intp)
-        rank[order] = np.arange(n_links, dtype=np.intp)
-        local = rank[inv]
-    else:
-        # ids are dense per-network interns below ``n_ids``: a reversed
-        # scatter records each id's first position (last write wins, so
-        # writing positions back-to-front leaves the smallest), and
-        # only the *present* ids get sorted — much smaller than the 2E
-        # element sort np.unique would do
-        first = np.full(n_ids, total, dtype=np.int64)
-        first[gids[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
-        present = np.flatnonzero(first < total)
-        n_links = len(present)
-        order = np.argsort(first[present], kind="stable")
-        rank = np.empty(n_ids, dtype=np.intp)
-        rank[present[order]] = np.arange(n_links, dtype=np.intp)
-        local = rank[gids]
+    # fill's link insertion order, which is what ties break on).  A
+    # reversed scatter records each id's first position (last write
+    # wins, so writing positions back-to-front leaves the smallest),
+    # and only the *present* ids get sorted
+    first = np.full(n_ids, total, dtype=np.int64)
+    first[gids[::-1]] = np.arange(total - 1, -1, -1, dtype=np.int64)
+    present = np.flatnonzero(first < total)
+    n_links = len(present)
+    order = np.argsort(first[present], kind="stable")
+    rank = np.empty(n_ids, dtype=np.intp)
+    rank[present[order]] = np.arange(n_links, dtype=np.intp)
+    local = rank[gids]
     cap = np.empty(n_links, dtype=np.float64)
     cap[local] = bw  # duplicate writes all carry the same bandwidth
     counts = np.bincount(local, minlength=n_links)
     cnt = counts.astype(np.int64)
     # flows grouped per link; the stable sort preserves subset order
-    # within each group, matching the scalar fill's member lists
+    # within each group, matching the scalar fill's member lists (on
+    # 16-bit keys it is a radix sort: O(E), not O(E log E))
     flow_of = np.repeat(np.arange(n, dtype=np.intp), lens)
-    grouped = flow_of[np.argsort(local, kind="stable")]
+    keyed = local.astype(np.int16) if n_links <= 1 << 15 else local
+    grouped = flow_of[np.argsort(keyed, kind="stable")]
     bounds = np.zeros(n_links + 1, dtype=np.int64)
     np.cumsum(counts, out=bounds[1:])
 
@@ -433,7 +362,7 @@ def _progressive_fill_vec(
             np.subtract.at(cnt, seg, 1)
             remaining -= len(newly)
         f_lo, l_lo = f_hi, l_hi
-    return (rate_of if out_array else rate_of.tolist()), iterations
+    return rate_of, iterations
 
 
 def maxmin_rates(flows: Sequence[Flow]) -> dict[Flow, float]:
@@ -458,18 +387,21 @@ class FlowNetwork:
     it from inside simulated processes.  Bytes crossing each link are
     accounted in :attr:`link_bytes` for white-box assertions in tests.
 
-    With ``incremental=True`` (the default) rate re-solves are
-    restricted to the link-connected component of the changed flows —
-    exactly equivalent to the full solve (see module docstring) but
-    O(component) instead of O(network) per event.
+    Live flows are the rows of the flow table (see module docstring),
+    kept in ``array.array`` columns: appends are amortised O(route),
+    small tables loop over them and large ones use zero-copy
+    ``np.frombuffer`` views.  A view pins its buffer's size, so no view
+    outlives the method that makes it.  A departing flow is written
+    back and unindexed at once; its row goes at the next
+    :meth:`_settle`, before the next step reads the table, so callbacks
+    that re-enter still see the live set.
 
-    ``sharded=True`` (the default) adds the hierarchical tier: dirty
-    flows whose shard (site tag) holds at least ``shard_threshold``
-    live flows skip the component walk and re-solve the whole shard,
-    and any subset of at least ``vec_threshold`` flows is solved by the
-    vectorised fill.  Both paths are bit-for-bit equal to the scalar
-    from-scratch solve; the thresholds only move work between
-    equally-exact implementations.
+    ``incremental=True`` (the default) re-solves only the changed
+    flows' link-connected component; ``sharded=True`` (the default)
+    adds the whole-shard tier and the vectorised fill above
+    ``vec_threshold`` flows.  Every path is bit-for-bit equal to the
+    scalar from-scratch solve; the thresholds only move work between
+    equally exact implementations.
     """
 
     #: live flows a shard needs before whole-shard re-solving beats the
@@ -492,25 +424,46 @@ class FlowNetwork:
                                 else shard_threshold)
         self.vec_threshold = (self.VEC_THRESHOLD if vec_threshold is None
                               else vec_threshold)
+        # the flow table: one entry per live flow in each row column,
+        # the routes back to back in the route column, and the Flow
+        # objects in a list (an object ndarray would hide its references
+        # from the cycle collector, and a live Flow refers back to us)
+        self._remaining = array("d")
+        self._rates = array("d")
+        self._seqs = array("q")
+        self._keys = array("q")  # shard code, see _shard_codes
+        self._lens = array("q")  # route length
+        self._route_ids = array("q")
         self._flows: list[Flow] = []
+        #: seqs of departed flows whose rows are still in the table
+        self._gone: list[int] = []
+        #: link → interned int id, assigned on first sight (deterministic:
+        #: flow-add order); the per-link columns are indexed by it
+        self._link_ids: dict[Link, int] = {}
+        self._links: list[Link] = []
+        self._link_bw = array("d")
+        #: bytes credited to each link (``link_bytes``, by link id)
+        self._link_acc = array("d")
+        #: whether a link has been credited yet, and the link ids in
+        #: first-credit order — ``link_bytes``'s key order
+        self._credited = bytearray()
+        self._credit_order: list[int] = []
+        #: a flow admitted since the last advance crosses an uncredited link
+        self._uncredited = False
         #: persistent link→flows index (insertion-ordered dicts used as
-        #: ordered sets); maintained in both modes, consulted for
-        #: component discovery and link-failure victim lookup
+        #: ordered sets), consulted for component discovery and
+        #: link-failure victim lookup
         self._link_flows: dict[Link, dict[Flow, None]] = {}
-        #: hierarchical tier: site tag → live flows of that shard, plus
-        #: the site-less coupling tier (wide-area / mixed routes); both
-        #: insertion-ordered, so iteration follows Flow.seq
-        self._shard_flows: dict[str, dict[Flow, None]] = {}
-        self._coupling_flows: dict[Flow, None] = {}
+        #: hierarchical tier: live flows per shard key (site tag, or
+        #: None for the site-less coupling tier), and each key's code in
+        #: the table's shard column
+        self._shard_count: dict[str | None, int] = {}
+        self._shard_codes: dict[str | None, int] = {}
         #: sites touched by coupling flows (counts): a tainted site's
         #: shard is not closed under link sharing, so it falls back to
         #: the component walk; _taint_total gates the coupling tier
         self._site_taint: dict[str, int] = {}
         self._taint_total = 0
-        #: link → interned int id, assigned on first sight (deterministic:
-        #: flow-add order); backs the per-flow route_ids arrays the
-        #: vectorised fill assembles its link tables from
-        self._link_ids: dict[Link, int] = {}
         #: per-shard-key size of the last component solved inside that
         #: shard (None keys the coupling tier), decremented as member
         #: flows leave.  Whole-shard solving only pays off when the
@@ -518,13 +471,8 @@ class FlowNetwork:
         #: is how the solver knows without running the BFS; see
         #: _reallocate_sharded
         self._shard_comp: dict[str | None, int] = {}
-        #: per-shard-key concatenated route byte caches (None keys the
-        #: coupling tier), kept in lockstep with _shard_flows /
-        #: _coupling_flows so whole-shard solves skip buffer assembly
-        self._shard_buf: dict[str | None, _ShardBuf] = {}
         self._last_update = kernel.now
         self._timer: Timer | None = None
-        self.link_bytes: dict[Link, float] = {}
         self.completed_flows = 0
         #: completed-transfer records for timeline analysis:
         #: (start time, end time, size bytes, first link name, ok)
@@ -604,16 +552,11 @@ class FlowNetwork:
         """Admit many ``(route, nbytes, callback)`` transfers in one
         re-solve.
 
-        Bit-for-bit equivalent to calling :meth:`start_flow` on each
-        request back-to-back at one virtual instant: no virtual time
-        passes between admissions, so the intermediate allocations the
-        sequential form computes are unobservable — only the rates
-        after the last member joins matter, and those come out of the
-        same per-component solves either way.  What changes is the
-        cost: one re-solve for the whole batch instead of one per flow,
-        which is what makes ramping a grid to 100k concurrent flows
-        tractable.  Validation is atomic — a bad size or downed link
-        anywhere in the batch admits nothing.
+        Bit-for-bit equivalent to :meth:`start_flow` on each request
+        back-to-back at one virtual instant (no time passes between
+        them, so the intermediate allocations are unobservable), at the
+        cost of one re-solve instead of one per flow.  Validation is
+        atomic: a bad size or downed link admits nothing.
         """
         reqs = list(requests)
         for route, nbytes, _callback in reqs:
@@ -636,7 +579,16 @@ class FlowNetwork:
 
     @property
     def active_flows(self) -> list[Flow]:
+        """Live flows in admission order."""
+        self._settle()
         return list(self._flows)
+
+    @property
+    def link_bytes(self) -> dict[Link, float]:
+        """Bytes credited to each link so far, keyed in first-credit
+        order (a fresh dict per read)."""
+        links, acc = self._links, self._link_acc
+        return {links[i]: acc[i] for i in self._credit_order}
 
     def fail_link(self, link: Link) -> None:
         """Bring a link down and abort every flow crossing it."""
@@ -650,6 +602,131 @@ class FlowNetwork:
         self._reallocate(victims)
 
     # ------------------------------------------------------------------
+    # the flow table
+    # ------------------------------------------------------------------
+    def _row(self, seq: int) -> int:
+        """Table row of the live flow with ``seq``."""
+        return bisect_left(self._seqs, seq)
+
+    def _admit(self, route: Sequence[Link], nbytes: float,
+               waiter: SimProcess | None,
+               callback: Callable | None) -> Flow:
+        """Validate, create, append and index one flow — no re-solve, no
+        monitor notification; callers compose those (see
+        :meth:`start_flows`)."""
+        for link in route:
+            if not link.up:
+                raise TransferError(f"link {link.name} is down")
+        self._advance()
+        flow = Flow(route, nbytes, waiter, callback, self.kernel.now)
+        flow.shard = _route_shard(flow.route)
+        self._flow_counter += 1
+        flow.seq = self._flow_counter
+        code = self._shard_codes.get(flow.shard)
+        if code is None:
+            code = self._shard_codes[flow.shard] = len(self._shard_codes)
+        self._remaining.append(flow.size)
+        self._rates.append(0.0)
+        self._seqs.append(flow.seq)
+        self._keys.append(code)
+        self._lens.append(len(flow.route))
+        self._route_ids.extend(self._intern(flow.route))
+        self._flows.append(flow)
+        flow._net = self
+        self._index_add(flow)
+        return flow
+
+    def _intern(self, route: Sequence[Link]) -> list[int]:
+        """Interned link ids of ``route``, registering new links."""
+        ids = self._link_ids
+        out = []
+        for link in route:
+            li = ids.get(link)
+            if li is None:
+                li = ids[link] = len(self._links)
+                self._links.append(link)
+                self._link_bw.append(link.bandwidth)
+                self._link_acc.append(0.0)
+                self._credited.append(False)
+            if not self._credited[li]:
+                self._uncredited = True
+            out.append(li)
+        return out
+
+    def _depart(self, flow: Flow, remaining: float | None) -> None:
+        """Write ``flow``'s table state back to it (``remaining``
+        overrides the byte count) and unindex it; the row itself is
+        dropped at the next :meth:`_settle`."""
+        row = self._row(flow.seq)
+        flow._remaining = (self._remaining[row] if remaining is None
+                           else remaining)
+        flow._rate = self._rates[row]
+        flow._net = None
+        flow.done = True
+        self._gone.append(flow.seq)
+        self._index_remove(flow)
+
+    def _settle(self) -> None:
+        """Drop departed flows' rows, keeping admission order.
+
+        Order-preserving (not swap-remove): rows stay in ``seq`` order,
+        so every later summation over the table runs in the order of
+        the per-flow loops it replaces.  Rows go one at a time, last
+        first, each a ``memmove`` per column: events end one to eight
+        flows on every benchmark workload, and compacting a large table
+        through a boolean mask costs far more than that.
+        """
+        gone = self._gone
+        if not gone:
+            return
+        lens = self._lens
+        cols = (self._remaining, self._rates, self._seqs, self._keys, lens)
+        for seq in sorted(gone, reverse=True):
+            row = self._row(seq)
+            e0 = int(np.frombuffer(lens, np.int64)[:row].sum())
+            del self._route_ids[e0:e0 + lens[row]]
+            for col in cols:
+                del col[row]
+            del self._flows[row]
+        gone.clear()
+
+    def _advance(self) -> None:
+        """Credit every active flow with progress since the last update
+        (eagerly, per event; see the module docstring)."""
+        self._settle()
+        now = self.kernel.now
+        dt = now - self._last_update
+        self._last_update = now
+        n = len(self._flows)
+        if dt <= 0 or not n:
+            return
+        if n > _SCALAR_ROWS:
+            moved = np.frombuffer(self._rates) * dt
+            np.frombuffer(self._remaining)[:] -= moved
+            np.add.at(np.frombuffer(self._link_acc),
+                      np.frombuffer(self._route_ids, np.int64),
+                      np.repeat(moved, np.frombuffer(self._lens, np.int64)))
+        else:
+            rem, acc, ids, e = self._remaining, self._link_acc, \
+                self._route_ids, 0
+            for i, (rate, k) in enumerate(zip(self._rates, self._lens)):
+                moved = rate * dt
+                rem[i] -= moved
+                for li in ids[e:e + k]:
+                    acc[li] += moved
+                e += k
+        if self._uncredited:
+            # links credited for the first time join link_bytes in the
+            # order the per-flow loop would have inserted them
+            ids = np.frombuffer(self._route_ids, np.int64)
+            credited = np.frombuffer(self._credited, bool)
+            uniq, first = np.unique(ids[~credited[ids]], return_index=True)
+            fresh = uniq[np.argsort(first)]
+            credited[fresh] = True
+            self._credit_order.extend(fresh.tolist())
+            self._uncredited = False
+
+    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _add_flow(self, route: Sequence[Link], nbytes: float,
@@ -658,37 +735,6 @@ class FlowNetwork:
         flow = self._admit(route, nbytes, waiter, callback)
         self._reallocate((flow,))
         self._notify_start(flow)
-        return flow
-
-    def _admit(self, route: Sequence[Link], nbytes: float,
-               waiter: SimProcess | None,
-               callback: Callable | None) -> Flow:
-        """Validate, create and index one flow — no re-solve, no monitor
-        notification; callers compose those (see :meth:`start_flows`)."""
-        for link in route:
-            if not link.up:
-                raise TransferError(f"link {link.name} is down")
-        self._advance()
-        flow = Flow(route, nbytes, waiter, callback, self.kernel.now)
-        flow.shard = _route_shard(flow.route)
-        if self.sharded:
-            ids = self._link_ids
-            fids = []
-            for link in flow.route:
-                li = ids.get(link)
-                if li is None:
-                    li = len(ids)
-                    ids[link] = li
-                fids.append(li)
-            flow.route_id_bytes = np.array(fids, dtype=np.int64).tobytes()
-            flow.route_bw_bytes = np.array(
-                [l.bandwidth for l in flow.route],
-                dtype=np.float64).tobytes()
-            flow.route_len_bytes = np.int64(len(fids)).tobytes()
-        self._flow_counter += 1
-        flow.seq = self._flow_counter
-        self._flows.append(flow)
-        self._index_add(flow)
         return flow
 
     def _notify_start(self, flow: Flow) -> None:
@@ -713,22 +759,11 @@ class FlowNetwork:
             else:
                 peers[flow] = None
         shard = flow.shard
-        if shard is not None:
-            members = self._shard_flows.get(shard)
-            if members is None:
-                self._shard_flows[shard] = {flow: None}
-            else:
-                members[flow] = None
-        else:
-            self._coupling_flows[flow] = None
+        self._shard_count[shard] = self._shard_count.get(shard, 0) + 1
+        if shard is None:
             for tag in self._coupling_tags(flow):
                 self._site_taint[tag] = self._site_taint.get(tag, 0) + 1
                 self._taint_total += 1
-        if self.sharded:
-            buf = self._shard_buf.get(shard)
-            if buf is None:
-                buf = self._shard_buf[shard] = _ShardBuf()
-            buf.add(flow)
 
     def _index_remove(self, flow: Flow) -> None:
         link_flows = self._link_flows
@@ -745,16 +780,8 @@ class FlowNetwork:
             # estimate came from; decaying it forces an eventual BFS
             # re-probe, so the estimate cannot stay optimistic forever
             self._shard_comp[shard] = comp - 1
-        if self.sharded:
-            buf = self._shard_buf.get(shard)
-            if buf is not None:
-                buf.remove(flow)
-        if shard is not None:
-            members = self._shard_flows.get(shard)
-            if members is not None:
-                members.pop(flow, None)
-        else:
-            self._coupling_flows.pop(flow, None)
+        self._shard_count[shard] -= 1
+        if shard is None:
             for tag in self._coupling_tags(flow):
                 left = self._site_taint.get(tag, 0) - 1
                 if left > 0:
@@ -801,24 +828,13 @@ class FlowNetwork:
                             frontier.append(link)
         return member
 
-    def _advance(self) -> None:
-        """Credit every active flow with progress since the last update.
-
-        Deliberately *eager* (per event, not lazily at completion):
-        iterated IEEE-754 subtraction is not associative, so crediting
-        lazily would change ``remaining`` in the last bits and break the
-        byte-identical-results guarantee the solver work relies on.
-        """
-        now = self.kernel.now
-        dt = now - self._last_update
-        if dt > 0:
-            link_bytes = self.link_bytes
-            for f in self._flows:
-                moved = f.rate * dt
-                f.remaining -= moved
-                for link in f.route:
-                    link_bytes[link] = link_bytes.get(link, 0.0) + moved
-        self._last_update = now
+    def _live_component(self, dirty: Sequence[Flow]) -> list[Flow]:
+        """Live flows link-connected to ``dirty``, in admission order —
+        so link insertion order (and with it every tie-break and float
+        op) matches the full solve restricted to this component."""
+        live = [f for f in self._component(dirty) if not f.done]
+        live.sort(key=_flow_seq_key)
+        return live
 
     def _reallocate(self, dirty: Sequence[Flow] | None = None) -> None:
         """Re-solve fair-share rates after a flow-set change.
@@ -832,170 +848,124 @@ class FlowNetwork:
         scratch by the historical scalar fill, the exactness oracle the
         differential suite compares every other path against.
         """
-        if self.incremental and dirty is not None:
-            if self.sharded:
-                self._reallocate_sharded(dirty)
-                return
-            subset = [f for f in self._component(dirty) if not f.done]
-            # iterate in active-list order so link insertion order (and
-            # therefore every tie-break and float op) matches the full
-            # solve restricted to this component
-            subset.sort(key=_flow_seq_key)
-            self._solve(subset, vec_ok=False)
+        self._settle()
+        if not self.incremental or dirty is None:
+            self._solve(list(self._flows))
+        elif self.sharded:
+            self._reallocate_sharded(dirty)
         else:
-            self._solve(self._flows, vec_ok=False)
+            self._solve(self._live_component(dirty))
         self._reschedule()
 
     def _reallocate_sharded(self, dirty: Sequence[Flow]) -> None:
         """Hierarchical re-solve: dirty site shards wholesale, the rest
         through the component walk.
 
-        A shard is a union of link-connected components (see module
-        docstring), so whole-shard re-solving is exact whenever the
-        shard is closed under link sharing — i.e. not tainted by a
-        coupling flow touching its fabrics.  Exact, but only *cheaper*
-        when the dirty component covers most of the shard: a shard full
-        of small disjoint components (the disjoint-pair churn bench) is
-        better served by the PR 4 walk.  The ``_shard_comp`` estimate —
-        size of the last component the walk solved inside the shard,
-        decayed as members leave — decides: whole-shard solving engages
-        once a probed component spans at least half the shard, and the
-        decay forces a re-probe every ~half-shard's worth of departures
-        so the estimate tracks fragmentation.  Seeds whose shard is too
-        small, tainted, or fragmented fall back to one combined
-        component walk, the always-correct PR 4 path.
+        Whole-shard re-solving is exact when the shard is closed under
+        link sharing (untainted), but only *cheaper* when the dirty
+        component covers most of the shard.  ``_shard_comp`` — the size
+        of the last component walked inside the shard, decayed as
+        members leave — decides: the shard is solved whole once that
+        spans half of it, and the decay forces a re-probe so the
+        estimate tracks fragmentation.  Everything else takes one
+        combined component walk, the always-correct path.
         """
         groups: dict[str | None, list[Flow]] = {}
         for f in dirty:
             groups.setdefault(f.shard, []).append(f)
         residual: list[Flow] = []
-        threshold = self.shard_threshold
         comp_est = self._shard_comp
-        # every gate-passing shard lands in one combined subset solved
-        # by a single fill: shards are link-disjoint by construction, so
-        # a union fill performs exactly the per-shard fills' arithmetic
-        # (each link only ever meets subtractions from its own shard's
-        # rounds, in the same relative order) while paying the vec
-        # setup once per *event* instead of once per shard; the block
-        # sizes ride along so the fill's round loop can work per shard
-        # over array views instead of the whole concatenated link range,
-        # and the shard-cache blobs ride along so the fill starts from
-        # ready-made link buffers instead of per-flow listcomps
-        combined: list[Flow] = []
-        combined_sizes: list[int] = []
-        bufs: list[_ShardBuf] = []
+        # every gate-passing shard becomes one block of a single fill:
+        # shards are link-disjoint by construction, so a union fill
+        # performs exactly the per-shard fills' arithmetic (each link
+        # only ever meets subtractions from its own shard's rounds, in
+        # the same relative order) while paying the vec setup once per
+        # *event* instead of once per shard
+        blocks: list[np.ndarray] = []
         for key, seeds in groups.items():
-            if key is not None:
-                members = self._shard_flows.get(key)
-                if members is not None and len(members) >= threshold \
-                        and not self._site_taint.get(key) \
-                        and 2 * comp_est.get(key, 0) >= len(members):
-                    combined.extend(members)
-                    combined_sizes.append(len(members))
-                    bufs.append(self._shard_buf[key])
-                    continue
-            elif self._taint_total == 0 \
-                    and len(self._coupling_flows) >= threshold \
-                    and 2 * comp_est.get(None, 0) \
-                    >= len(self._coupling_flows):
-                combined.extend(self._coupling_flows)
-                combined_sizes.append(len(self._coupling_flows))
-                bufs.append(self._shard_buf[None])
-                continue
-            residual.extend(seeds)
-        if combined:
-            self._solve(combined, vec_ok=True, groups=combined_sizes,
-                        bufs=bufs)
+            size = self._shard_count.get(key, 0)
+            untainted = (self._taint_total == 0 if key is None
+                         else not self._site_taint.get(key))
+            if size >= self.shard_threshold and untainted \
+                    and 2 * comp_est.get(key, 0) >= size:
+                blocks.append(np.flatnonzero(
+                    np.frombuffer(self._keys, np.int64)
+                    == self._shard_codes.get(key, -1)))
+            else:
+                residual.extend(seeds)
+        if blocks and sum(map(len, blocks)) >= self.vec_threshold:
+            self._solve(blocks=blocks)
+        elif blocks:
+            flows = self._flows
+            self._solve([flows[i] for b in blocks for i in b.tolist()])
         if residual:
-            subset = [f for f in self._component(residual) if not f.done]
-            subset.sort(key=_flow_seq_key)
-            self._solve(subset, vec_ok=True)
-            keys = {f.shard for f in subset}
-            if len(keys) == 1:
+            live = self._live_component(residual)
+            if len(live) >= self.vec_threshold:
+                self._solve(blocks=[np.searchsorted(
+                    np.frombuffer(self._seqs, np.int64),
+                    [f.seq for f in live])])
+            else:
+                self._solve(live)
+            shards = {f.shard for f in live}
+            if len(shards) == 1:
                 # the walk just measured one shard's component structure:
                 # remember it so the next dirty event can skip the walk
-                comp_est[keys.pop()] = len(subset)
-        self._reschedule()
+                comp_est[shards.pop()] = len(live)
 
-    def _solve(self, subset: Sequence[Flow], vec_ok: bool,
-               groups: Sequence[int] | None = None,
-               bufs: Sequence[_ShardBuf] | None = None) -> None:
-        """One fill over ``subset``; applies rates and counts the work.
+    def _solve(self, flows: list[Flow] | None = None,
+               blocks: Sequence[np.ndarray] = ()) -> None:
+        """One fill, writing back the rates that changed and counting
+        the work: the scalar fill over ``flows`` (admission order), or
+        the vectorised fill over the table rows ``blocks`` — each
+        block ascending, the blocks link-disjoint — whose routes it
+        reads straight from the route column.
 
-        ``bufs`` (whole-shard solves only) supplies the shard caches
-        whose concatenated members *are* ``subset``: the fill then
-        starts from their ready-made byte buffers, and the new rates
-        are diffed against the caches' rate mirrors in numpy so only
-        the flows whose rate actually changed get attribute writes.
-        Skipping a write when old and new compare equal is exactly what
-        the scalar assignment loop's ``!=`` guard does (including the
-        ``-0.0 == 0.0`` case), so both paths leave identical state.
+        Skipping a write when old and new compare equal is the scalar
+        assignment's ``!=`` guard, including its ``-0.0 == 0.0`` case.
         """
-        if vec_ok and len(subset) >= self.vec_threshold:
-            if bufs is not None:
-                buffers = (b"".join([b.lens for b in bufs]),
-                           b"".join([b.ids for b in bufs]),
-                           b"".join([b.bw for b in bufs]))
-                rate_arr, iterations = _progressive_fill_vec(
-                    subset, len(self._link_ids), groups, buffers,
-                    out_array=True)
-                if all(b.rates_valid for b in bufs):
-                    old = np.frombuffer(b"".join([b.rates for b in bufs]),
-                                        dtype=np.float64)
-                    for i in np.flatnonzero(rate_arr != old).tolist():
-                        subset[i].rate = float(rate_arr[i])
-                else:
-                    for f, new_rate in zip(subset, rate_arr.tolist()):
-                        if new_rate != f.rate:
-                            f.rate = new_rate
-                lo = 0
-                for buf, size in zip(bufs, groups):
-                    hi = lo + size
-                    buf.rates = bytearray(rate_arr[lo:hi].tobytes())
-                    buf.rates_valid = True
-                    lo = hi
-            else:
-                rate_list, iterations = _progressive_fill_vec(
-                    subset, len(self._link_ids), groups)
-                for f, new_rate in zip(subset, rate_list):
-                    if new_rate != f.rate:
-                        f.rate = new_rate
-                self._stale_rate_mirrors(subset)
+        if flows is not None:
+            rates, iterations = _progressive_fill(flows)
+            col = self._rates
+            for f in flows:
+                row, new = self._row(f.seq), rates[f]
+                if new != col[row]:
+                    col[row] = new
+            resolved = len(flows)
         else:
-            rates, iterations = _progressive_fill(subset)
-            for f in subset:
-                new_rate = rates[f]
-                if new_rate != f.rate:
-                    f.rate = new_rate
-            self._stale_rate_mirrors(subset)
+            lens = np.frombuffer(self._lens, np.int64)
+            ids = np.frombuffer(self._route_ids, np.int64)
+            parts = []
+            for block in blocks:
+                sel = np.zeros(len(lens), dtype=bool)
+                sel[block] = True
+                parts.append(ids[np.repeat(sel, lens)])
+            rows = np.concatenate(blocks)
+            gids = np.concatenate(parts)
+            new, iterations = _progressive_fill_vec(
+                lens[rows], gids, np.frombuffer(self._link_bw)[gids],
+                len(self._links), [len(b) for b in blocks])
+            col = np.frombuffer(self._rates)
+            changed = new != col[rows]
+            col[rows[changed]] = new[changed]
+            resolved = len(rows)
         self.solver_solves += 1
         self.solver_iterations += iterations
-        self.solver_flows_resolved += len(subset)
-
-    def _stale_rate_mirrors(self, subset: Sequence[Flow]) -> None:
-        """Mark shard rate mirrors stale after a non-whole-shard solve.
-
-        Component walks and full re-solves write ``Flow.rate`` without
-        going through the shard caches; the touched shards' mirrors no
-        longer reflect their members, so the next whole-shard solve
-        must fall back to the per-flow assignment loop once (and then
-        rebuilds the mirror from its own result).
-        """
-        if not self.sharded:
-            return
-        for key in dict.fromkeys(f.shard for f in subset):
-            buf = self._shard_buf.get(key)
-            if buf is not None:
-                buf.rates_valid = False
+        self.solver_flows_resolved += resolved
 
     def _reschedule(self) -> None:
         next_finish = None
-        for f in self._flows:
-            if f.rate <= 0:
-                continue
-            finish = f.remaining / f.rate
-            if next_finish is None or finish < next_finish:
-                next_finish = finish
+        if len(self._flows) > _SCALAR_ROWS:
+            rates = np.frombuffer(self._rates)
+            live = rates > 0
+            if live.any():
+                next_finish = float((np.frombuffer(self._remaining)[live]
+                                     / rates[live]).min())
+        else:
+            for rem, rate in zip(self._remaining, self._rates):
+                if rate > 0:
+                    finish = rem / rate
+                    if next_finish is None or finish < next_finish:
+                        next_finish = finish
         timer = self._timer
         if next_finish is None:
             if timer is not None:
@@ -1015,15 +985,20 @@ class FlowNetwork:
         self._timer = self.kernel.schedule(max(next_finish, 0.0),
                                            self._on_completion)
 
+    def _finished(self) -> list[Flow]:
+        """Live flows within ``_EPS_BYTES`` of done, in row order."""
+        if len(self._flows) > _SCALAR_ROWS:
+            done = np.frombuffer(self._remaining) <= _EPS_BYTES
+            return [self._flows[i] for i in done.nonzero()[0].tolist()]
+        return [f for f, rem in zip(self._flows, self._remaining)
+                if rem <= _EPS_BYTES]
+
     def _on_completion(self) -> None:
         self._timer = None
         self._advance()
-        finished = [f for f in self._flows if f.remaining <= _EPS_BYTES]
+        finished = self._finished()
         for f in finished:
-            f.remaining = 0.0
-            f.done = True
-            self._flows.remove(f)
-            self._index_remove(f)
+            self._depart(f, 0.0)
             self.completed_flows += 1
             self.flow_log.append((f.start_time, self.kernel.now, f.size,
                                   f.route[0].name if f.route else "", True))
@@ -1035,14 +1010,12 @@ class FlowNetwork:
 
     def _abort_flow(self, flow: Flow, error: Exception, wake: bool,
                     advance: bool = True) -> None:
-        if flow.done or flow not in self._flows:
+        if flow.done or flow._net is not self:
             return
         if advance:
             self._advance()
         flow.error = error
-        flow.done = True
-        self._flows.remove(flow)
-        self._index_remove(flow)
+        self._depart(flow, None)
         self.flow_log.append((flow.start_time, self.kernel.now, flow.size,
                               flow.route[0].name if flow.route else "",
                               False))
@@ -1059,7 +1032,3 @@ class FlowNetwork:
             self.kernel.wake(flow.waiter, flow)
         if flow.callback is not None:
             flow.callback(flow)
-
-
-def _flow_seq_key(flow: Flow) -> int:
-    return flow.seq
